@@ -109,6 +109,15 @@ class SynthesisOptions:
     #: no write-through. Excluded from fingerprints like ``store``.
     cache: bool = field(default=True, compare=False)
 
+    def __post_init__(self) -> None:
+        # The config fingerprint hashes field values as JSON, where 120
+        # and 120.0 differ; coercing keeps a library-built options
+        # object and a CLI- or HTTP-parsed one on the same store key.
+        if self.time_limit is not None:
+            self.time_limit = float(self.time_limit)
+        self.mip_gap = float(self.mip_gap)
+        self.path_slack = float(self.path_slack)
+
 
 def build_catalog(spec: SwitchSpec, options: SynthesisOptions) -> PathCatalog:
     """Pre-enumerate the candidate paths for a spec (§3.1).

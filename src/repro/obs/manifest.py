@@ -4,8 +4,8 @@ A manifest is a flat JSON-compatible dict stamped into every exported
 trace (and writable standalone next to BENCH/CSV artifacts). It
 answers "what produced these numbers": the exact configuration
 (fingerprinted), the case (fingerprinted via its canonical JSON form),
-the backend, and the environment (python / platform / library versions
-/ git describe).
+the backend, the LP engine of the branch-and-bound relaxations, and the
+environment (python / platform / library versions / git describe).
 
 Fingerprints are sha256 over canonical JSON (sorted keys), truncated
 to 16 hex chars — collision-safe at the scale of a benchmark matrix
@@ -92,6 +92,8 @@ def _library_versions() -> Dict[str, str]:
 def run_manifest(spec: Any = None, options: Any = None,
                  extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """Build the manifest for one run (all arguments optional)."""
+    from repro.opt import incremental
+
     manifest: Dict[str, Any] = {
         "schema": OBS_SCHEMA,
         "created_unix": round(time.time(), 3),
@@ -100,6 +102,7 @@ def run_manifest(spec: Any = None, options: Any = None,
         "machine": platform.machine(),
         "git": git_describe(),
         "libraries": _library_versions(),
+        "lp_engine": incremental.LP_ENGINE,
     }
     if spec is not None:
         manifest["case"] = getattr(spec, "name", str(spec))

@@ -27,6 +27,10 @@ Design invariants (the determinism contract, asserted by
   propagation is a pure function of the bound vectors. Re-running a
   task (after a worker death) reproduces its result bit-for-bit, which
   is what makes SIGKILL recovery safe.
+* **History-free LPs.** A task root starts its LP cold and every child
+  hot-starts from its parent's basis, so a task's LP iteration counts
+  never depend on which tasks its worker (or the coordinator) solved
+  before. Workers solve with the coordinator's LP engine.
 
 The shared-incumbent channel (a lock-free ``multiprocessing.Value``) is
 *written* eagerly by every worker, but in the default deterministic
@@ -60,6 +64,7 @@ import numpy as np
 
 from repro.deadline import Deadline
 from repro.errors import SolverError
+from repro.opt import incremental
 from repro.opt.cuts import clique_cuts, cut_rows
 from repro.opt.incremental import IncrementalLP
 from repro.opt.presolve import DeltaTightener
@@ -183,11 +188,13 @@ class PseudoCosts:
 
 
 class SubtreeExplorer:
-    """Best-first exploration of one subtree over a warm persistent LP.
+    """Best-first exploration of one subtree over a persistent LP.
 
     One instance lives for a whole search (per worker, plus one in the
-    coordinator): the LP matrix is flattened once, clique cuts added
-    once, and every task only replays bound-delta chains.
+    coordinator): the model is loaded into the LP engine once, clique
+    cuts added once, and every task only replays bound-delta chains.
+    Each task root starts cold and every child hot-starts from its
+    parent's basis, so a task's result is a function of the task alone.
     """
 
     def __init__(self, form, *, use_cuts: bool = True, tighten: bool = True,
@@ -249,6 +256,10 @@ class SubtreeExplorer:
 
         chain = tuple(chain)
         lp.set_bounds(chain)
+        # The task root starts cold, so a task's LPs (and its iteration
+        # count) never depend on which tasks this explorer ran before —
+        # a re-queued or stolen task reproduces its result exactly.
+        lp.cold_start()
         res = lp.solve()
         root_status = int(res.status)
         out: Dict[str, Any] = {
@@ -262,18 +273,22 @@ class SubtreeExplorer:
         if root_status != 0:
             return out
 
-        heap: List[Tuple[float, int, Path, Tuple[Delta, ...], np.ndarray]] = [
-            (float(res.fun), path_tie(self.seed, path), path, chain, res.x)
+        # Heap entries carry each node's LP solution and final basis;
+        # both children hot-start from their parent's basis.
+        heap: List[Tuple[float, int, Path, Tuple[Delta, ...], np.ndarray,
+                         Any]] = [
+            (float(res.fun), path_tie(self.seed, path), path, chain, res.x,
+             lp.basis())
         ]
         while heap:
-            bound, tie, pth, chn, x = heappop(heap)
+            bound, tie, pth, chn, x, basis = heappop(heap)
             if bound >= cutoff():
                 continue
             if nodes >= node_budget or (deadline is not None
                                         and deadline.expired()):
                 hit_deadline = (deadline is not None and deadline.expired())
                 leftovers.append((bound, pth, chn))
-                leftovers.extend((b, p, c) for b, _, p, c, _ in heap)
+                leftovers.extend((b, p, c) for b, _, p, c, _, _ in heap)
                 break
             nodes += 1
             order = fold_hash(order, tie)
@@ -308,6 +323,7 @@ class SubtreeExplorer:
                         continue
                 child_chain = chn + ((j, is_ub, value),) + tuple(extra)
                 lp.set_bounds(child_chain)
+                lp.set_basis(basis)
                 child = lp.solve()
                 lp.set_bounds(chn)
                 if child.status != 0:
@@ -327,7 +343,8 @@ class SubtreeExplorer:
                     child_path = pth + (encode_step(j, is_ub),)
                     heappush(heap, (child_bound,
                                     path_tie(self.seed, child_path),
-                                    child_path, child_chain, child_x))
+                                    child_path, child_chain, child_x,
+                                    lp.basis()))
 
         out.update(
             nodes=nodes, lp_calls=lp.lp_calls - lp0,
@@ -358,6 +375,9 @@ def _worker_main(wid: int, payload: bytes, task_r, res_w, shared_best,
     shipper = None
     try:
         cfg = pickle.loads(payload)
+        # Solve with the coordinator's LP engine: iteration counts are
+        # part of the determinism contract, and they differ by engine.
+        incremental.LP_ENGINE = cfg["lp_engine"]
         explorer = SubtreeExplorer(
             cfg["form"], use_cuts=cfg["use_cuts"],
             tighten=cfg["tighten"], seed=cfg["seed"])
@@ -463,7 +483,7 @@ class WorkerPool:
         self.workers = workers
         self._payload = pickle.dumps(
             {"form": form, "use_cuts": use_cuts, "tighten": tighten,
-             "seed": seed,
+             "seed": seed, "lp_engine": incremental.LP_ENGINE,
              # Workers trace iff the coordinating process does; their
              # batches ride back on result messages and are absorbed
              # into this tracer (never touching search determinism).

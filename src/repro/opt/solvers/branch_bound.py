@@ -2,9 +2,11 @@
 
 This backend exists so the library has a fully-inspectable exact solver
 that does not depend on HiGHS's branch-and-cut: LP relaxations are
-solved with :func:`scipy.optimize.linprog` (simplex/IPM via HiGHS LP,
-which scipy always ships), and the integer search is our own best-first
-branch-and-bound with most-fractional branching and incumbent rounding.
+solved by HiGHS's dual simplex through the binding scipy bundles (or
+:func:`scipy.optimize.linprog` where that binding is missing; see
+:mod:`repro.opt.incremental`), and the integer search is our own
+best-first branch-and-bound with most-fractional branching and
+incumbent rounding.
 
 It is intended for small-to-medium models (hundreds of variables) and
 as a cross-check oracle in tests; the HiGHS MILP backend remains the
@@ -13,10 +15,13 @@ default for the large synthesis models.
 Implementation notes:
 
 * One :class:`~repro.opt.incremental.IncrementalLP` is kept alive for
-  the whole tree: the constraint matrix is flattened once and each node
+  the whole tree: the model is loaded into HiGHS once and each node
   only applies its bound *deltas* (a root-to-leaf ``(variable, side,
-  value)`` chain stored on the node) to the persistent bound vectors —
-  no per-node model rebuilds or bound-array copies.
+  value)`` chain stored on the node) — no per-node model rebuilds or
+  bound-array copies.
+* Every open node keeps the final simplex basis of its own LP, and both
+  of its children hot-start from it. A child LP therefore depends only
+  on its node, not on which nodes were solved in between.
 * A root cutting-plane pass adds clique cuts derived from the pairwise
   at-most-one rows (:mod:`repro.opt.cuts`); the cuts are valid for the
   whole tree, so they simply extend the persistent LP.
@@ -35,7 +40,7 @@ import heapq
 import itertools
 import math
 import time
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,9 +52,6 @@ from repro.opt.result import Solution, SolveStatus
 from repro.opt.solvers.base import SolverBackend
 
 _INT_TOL = 1e-6
-
-#: Backwards-compatible alias (the helper moved to repro.opt.incremental).
-_map_back = map_back_solution
 
 
 class _Node:
@@ -81,21 +83,9 @@ class _Node:
         deltas.reverse()
         return deltas
 
-    def materialize(self, root_lb: np.ndarray, root_ub: np.ndarray
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Rebuild this node's bound vectors from the root arrays."""
-        lb = root_lb.copy()
-        ub = root_ub.copy()
-        for var, is_ub, value in self.chain():
-            if is_ub:
-                ub[var] = value
-            else:
-                lb[var] = value
-        return lb, ub
-
 
 class BranchBoundBackend(SolverBackend):
-    """Best-first branch-and-bound over a persistent scipy LP."""
+    """Best-first branch-and-bound over a persistent hot-started LP."""
 
     name = "branch_bound"
 
@@ -195,8 +185,10 @@ class BranchBoundBackend(SolverBackend):
 
         counter = itertools.count()
         root_node = _Node(None, -1, False, 0.0, root.fun)
-        heap: List[Tuple[float, int, _Node, np.ndarray]] = []
-        heapq.heappush(heap, (root.fun, next(counter), root_node, root.x))
+        # Heap entries carry the node's LP solution and final basis.
+        heap: List[Tuple[float, int, _Node, np.ndarray, Any]] = []
+        heapq.heappush(heap, (root.fun, next(counter), root_node, root.x,
+                              lp.basis()))
         nodes_explored = 0
         hit_limit = False
 
@@ -213,7 +205,7 @@ class BranchBoundBackend(SolverBackend):
                              source="search")
 
         while heap:
-            bound, _, node, x = heapq.heappop(heap)
+            bound, _, node, x, basis = heapq.heappop(heap)
             if bound >= cutoff():
                 continue
             nodes_explored += 1
@@ -263,6 +255,7 @@ class BranchBoundBackend(SolverBackend):
                     if new_bound_value > lp.ub[frac_i]:
                         continue
                     is_ub = False
+                lp.set_basis(basis)
                 with lp.tightened(frac_i, is_ub, float(new_bound_value)):
                     res = lp.solve()
                 if res.status != 0:
@@ -278,7 +271,8 @@ class BranchBoundBackend(SolverBackend):
                 elif child_bound < cutoff():
                     child = _Node(node, int(frac_i), is_ub,
                                   float(new_bound_value), child_bound)
-                    heapq.heappush(heap, (child_bound, next(counter), child, child_x))
+                    heapq.heappush(heap, (child_bound, next(counter), child,
+                                          child_x, lp.basis()))
 
         counters = {
             "nodes": nodes_explored,

@@ -19,6 +19,8 @@ from repro.service import job_id_for
 #: Pinned digests; update only together with a CACHE_EPOCH bump.
 PINNED_CASE = "9e1b463f1a61ed13"
 PINNED_CONFIG = "8df0150b207f34d5"
+#: ``SynthesisOptions(time_limit=120.0)``, the CLI's default options.
+PINNED_CONFIG_TIME_LIMIT_120 = "bf1fd503e0f8425a"
 
 
 def pinned_spec():
@@ -54,6 +56,18 @@ def test_compare_fields_do_change_the_fingerprint():
     assert config_fingerprint(SynthesisOptions(mip_gap=1e-2)) != PINNED_CONFIG
     assert config_fingerprint(SynthesisOptions(backend="highs")) != \
         PINNED_CONFIG
+
+
+def test_int_and_float_values_share_one_fingerprint():
+    """A library caller's ``time_limit=120`` and the CLI's parsed
+    ``120.0`` must key the same store entry, and the CLI's existing
+    entries must keep their key."""
+    assert config_fingerprint(SynthesisOptions(time_limit=120)) == \
+        config_fingerprint(SynthesisOptions(time_limit=120.0)) == \
+        PINNED_CONFIG_TIME_LIMIT_120
+    for field, value in (("mip_gap", 0), ("path_slack", 1)):
+        assert config_fingerprint(SynthesisOptions(**{field: value})) == \
+            config_fingerprint(SynthesisOptions(**{field: float(value)}))
 
 
 def test_exclusion_rule_is_the_dataclass_compare_flag():

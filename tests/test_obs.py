@@ -38,6 +38,7 @@ from repro.obs import (
     write_chrome_trace,
     write_trace_jsonl,
 )
+from repro.opt import incremental
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +205,11 @@ def test_run_manifest_fields(tmp_path):
     options = SynthesisOptions(backend="branch_bound")
     manifest = run_manifest(spec, options, extra={"note": "test"})
     for key in ("schema", "created_unix", "python", "platform", "machine",
-                "git", "libraries", "case", "case_fingerprint",
+                "git", "libraries", "lp_engine", "case", "case_fingerprint",
                 "config_fingerprint", "backend", "note"):
         assert key in manifest, key
     assert manifest["schema"] == OBS_SCHEMA
+    assert manifest["lp_engine"] == incremental.LP_ENGINE
     assert manifest["case"] == spec.name
     assert manifest["backend"] == "branch_bound"
     path = save_manifest(manifest, tmp_path / "manifest.json")
