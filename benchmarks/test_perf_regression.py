@@ -152,9 +152,10 @@ def _parallel_speedup_record() -> Dict[str, object]:
     the committed artifact — they must be identical down the column.
     """
     global _SPEEDUP_RECORD
-    # Chosen to open trees of several hundred nodes each (649 and 367
-    # at the time of writing) so the round phase dominates the serial
-    # root expansion — small trees would only measure Amdahl's law.
+    # Chosen to open trees of a few hundred nodes each (506 and 311
+    # under parallel_bb at the time of writing) so the round phase
+    # dominates the serial root expansion — small trees would only
+    # measure Amdahl's law.
     instances = [(3, 30, 5, 0.45), (9, 30, 5, 0.44)]
     walls: Dict[int, float] = {}
     counters: Dict[str, object] = {"cpu_count": os.cpu_count() or 1}

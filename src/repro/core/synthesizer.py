@@ -302,9 +302,9 @@ def _run_pipeline(spec: SwitchSpec, options: SynthesisOptions,
 
     ``store`` (None when caching is disabled) is installed as the
     ambient store for the duration, so Tier-B consumers deeper in the
-    stack — path enumeration, the parallel solver's pseudo-cost
-    snapshots — see the same cache this run was configured with (and,
-    with ``cache=False``, see none even if one is ambient).
+    stack (path enumeration) see the same cache this run was
+    configured with (and, with ``cache=False``, see none even if one
+    is ambient).
     """
     from repro.store import use_store
 

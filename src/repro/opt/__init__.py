@@ -18,7 +18,7 @@ from repro.opt.incremental import IncrementalLP, SolveContext, WarmStart
 from repro.opt.linearize import linearize
 from repro.opt.lp_format import model_to_lp, write_lp
 from repro.opt.model import Model
-from repro.opt.presolve import DeltaTightener, PresolveResult, presolve
+from repro.opt.presolve import PresolveResult, presolve
 from repro.opt.result import Solution, SolveStatus
 from repro.opt.solvers import available_backends, get_backend
 
@@ -35,7 +35,6 @@ __all__ = [
     "SolveStatus",
     "linearize",
     "presolve",
-    "DeltaTightener",
     "PresolveResult",
     "model_to_lp",
     "write_lp",

@@ -267,8 +267,10 @@ class Model:
         """Solve the model and return a :class:`Solution`.
 
         ``backend`` is one of ``"auto"``, ``"highs"``, ``"branch_bound"``,
-        ``"backtrack"`` or ``"portfolio"``. ``"auto"`` picks HiGHS when
-        scipy provides it and falls back to the built-in
+        ``"parallel_bb"`` (or ``"parallel_bb:N"`` for N workers),
+        ``"backtrack"``, ``"portfolio"`` or a name added with
+        :func:`~repro.opt.solvers.register_backend`. ``"auto"`` picks
+        HiGHS when scipy provides it and falls back to the built-in
         branch-and-bound otherwise. Quadratic models are linearized
         exactly first; the reported solution only contains the original
         variables. The returned solution carries a per-phase wall-clock

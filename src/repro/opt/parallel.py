@@ -1,10 +1,12 @@
-"""Deterministic multi-process branch-and-bound machinery.
+"""The branch-and-bound engine and its multi-process machinery.
 
-This module is the engine room of the ``parallel_bb`` backend
-(:mod:`repro.opt.solvers.parallel_bb`): a coordinator decomposes the
-branch-and-bound tree into *subtree tasks* and a pool of worker
-processes — each owning a persistent warm
-:class:`~repro.opt.incremental.IncrementalLP` — explores them.
+:class:`SubtreeExplorer` is the repo's one branch-and-bound node loop.
+The ``branch_bound`` backend runs it as a single in-process task that
+holds the whole node budget; the ``parallel_bb`` backend
+(:mod:`repro.opt.solvers.parallel_bb`) decomposes the tree into
+*subtree tasks* that a pool of worker processes — each owning a
+persistent warm :class:`~repro.opt.incremental.IncrementalLP` —
+explores.
 
 Design invariants (the determinism contract, asserted by
 ``tests/test_parallel_bb.py``):
@@ -21,12 +23,12 @@ Design invariants (the determinism contract, asserted by
   break on a CRC32 of ``(seed, path)`` — a pure function of identity,
   never of arrival time. The rolling CRC32 over all explored paths is
   reported as the ``node_order_hash`` counter.
-* **Deterministic side state.** Pseudo-cost branching statistics are
-  snapshotted per round, updated locally inside each task, and merged
-  back in sorted-task order; :class:`~repro.opt.presolve.DeltaTightener`
-  propagation is a pure function of the bound vectors. Re-running a
-  task (after a worker death) reproduces its result bit-for-bit, which
-  is what makes SIGKILL recovery safe.
+* **Tasks without side state.** A task's branching choice is a pure
+  function of its node's LP solution (most-fractional, lowest index on
+  ties), and nothing but the task's leftovers, counters and best
+  solution flows back. Re-running a task (after a worker death)
+  reproduces its result bit-for-bit, which is what makes SIGKILL
+  recovery safe.
 * **History-free LPs.** A task root starts its LP cold and every child
   hot-starts from its parent's basis, so a task's LP iteration counts
   never depend on which tasks its worker (or the coordinator) solved
@@ -64,10 +66,10 @@ import numpy as np
 
 from repro.deadline import Deadline
 from repro.errors import SolverError
+from repro.obs.trace import current_tracer
 from repro.opt import incremental
 from repro.opt.cuts import clique_cuts, cut_rows
 from repro.opt.incremental import IncrementalLP
-from repro.opt.presolve import DeltaTightener
 
 _INT_TOL = 1e-6
 
@@ -79,9 +81,6 @@ ROOT_EXPAND_NODES = 32
 DISPATCH_BATCH = 8
 #: Node budget per subtree task; leftovers return to the global frontier.
 TASK_NODE_BUDGET = 192
-#: Observations per direction before a pseudo-cost is trusted.
-PC_RELIABILITY = 1
-_PC_EPS = 1e-6
 
 #: Environment override for the multiprocessing start method
 #: ("fork"/"spawn"/"forkserver"); auto-selected when unset.
@@ -107,100 +106,45 @@ def fold_hash(acc: int, value: int) -> int:
     return zlib.crc32(int(value).to_bytes(8, "little"), acc) & 0xFFFFFFFF
 
 
-class PseudoCosts:
-    """Per-variable branching statistics (objective degradation rates).
+def most_fractional(x: np.ndarray, branch_idx: np.ndarray) -> Optional[int]:
+    """The branch variable for ``x``: the one farthest from integrality.
 
-    ``dsum``/``dcnt`` accumulate the down-branch degradation per unit of
-    fractionality; ``usum``/``ucnt`` the up-branch. Instances are plain
-    array quadruples so they snapshot/merge cheaply across processes.
+    None when every variable of ``branch_idx`` is integral within
+    tolerance. Ties go to the lowest index (numpy's first argmax), so
+    the choice is a pure function of ``x``.
     """
-
-    __slots__ = ("dsum", "dcnt", "usum", "ucnt")
-
-    def __init__(self, n: int) -> None:
-        self.dsum = np.zeros(n)
-        self.dcnt = np.zeros(n, dtype=np.int64)
-        self.usum = np.zeros(n)
-        self.ucnt = np.zeros(n, dtype=np.int64)
-
-    def snapshot(self) -> Tuple[np.ndarray, ...]:
-        return (self.dsum.copy(), self.dcnt.copy(),
-                self.usum.copy(), self.ucnt.copy())
-
-    @classmethod
-    def from_arrays(cls, arrays: Sequence[np.ndarray]) -> "PseudoCosts":
-        pc = cls(len(arrays[0]))
-        pc.dsum, pc.dcnt, pc.usum, pc.ucnt = (np.array(a) for a in arrays)
-        return pc
-
-    def merge(self, arrays: Sequence[np.ndarray]) -> None:
-        """Add another instance's (delta) arrays into this one."""
-        self.dsum += arrays[0]
-        self.dcnt += arrays[1]
-        self.usum += arrays[2]
-        self.ucnt += arrays[3]
-
-    def update(self, j: int, is_up: bool, degradation: float,
-               fraction: float) -> None:
-        rate = max(degradation, 0.0) / max(fraction, _PC_EPS)
-        if is_up:
-            self.usum[j] += rate
-            self.ucnt[j] += 1
-        else:
-            self.dsum[j] += rate
-            self.dcnt[j] += 1
-
-    def pick(self, x: np.ndarray, branch_idx: np.ndarray,
-             extra: Optional["PseudoCosts"] = None) -> Optional[int]:
-        """Branch variable for ``x``, or None when integral.
-
-        Uses the product pseudo-cost score over variables whose
-        statistics are reliable in both directions; falls back to
-        most-fractional otherwise. Ties break on the lowest index (via
-        numpy's first-argmax), so the choice is deterministic.
-        """
-        if branch_idx.size == 0:
-            return None
-        vals = x[branch_idx]
-        frac = np.abs(vals - np.round(vals))
-        cand = frac > _INT_TOL
-        if not cand.any():
-            return None
-        dsum, dcnt = self.dsum[branch_idx], self.dcnt[branch_idx]
-        usum, ucnt = self.usum[branch_idx], self.ucnt[branch_idx]
-        if extra is not None:
-            dsum = dsum + extra.dsum[branch_idx]
-            dcnt = dcnt + extra.dcnt[branch_idx]
-            usum = usum + extra.usum[branch_idx]
-            ucnt = ucnt + extra.ucnt[branch_idx]
-        reliable = cand & (dcnt >= PC_RELIABILITY) & (ucnt >= PC_RELIABILITY)
-        if reliable.any():
-            f_down = vals - np.floor(vals)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                d_avg = np.where(dcnt > 0, dsum / np.maximum(dcnt, 1), 0.0)
-                u_avg = np.where(ucnt > 0, usum / np.maximum(ucnt, 1), 0.0)
-            score = (np.maximum(d_avg * f_down, _PC_EPS)
-                     * np.maximum(u_avg * (1.0 - f_down), _PC_EPS))
-            score = np.where(reliable, score, -np.inf)
-            return int(branch_idx[int(np.argmax(score))])
-        masked = np.where(cand, frac, -np.inf)
-        return int(branch_idx[int(np.argmax(masked))])
+    if branch_idx.size == 0:
+        return None
+    vals = x[branch_idx]
+    frac = np.abs(vals - np.round(vals))
+    worst = int(np.argmax(frac))
+    if frac[worst] <= _INT_TOL:
+        return None
+    return int(branch_idx[worst])
 
 
 class SubtreeExplorer:
     """Best-first exploration of one subtree over a persistent LP.
 
-    One instance lives for a whole search (per worker, plus one in the
-    coordinator): the model is loaded into the LP engine once, clique
-    cuts added once, and every task only replays bound-delta chains.
-    Each task root starts cold and every child hot-starts from its
-    parent's basis, so a task's result is a function of the task alone.
+    This is the only branch-and-bound node loop: ``branch_bound`` runs
+    it as one in-process task, ``parallel_bb`` as many. One instance
+    lives for a whole search (per worker, plus one in the coordinator):
+    the model is loaded into the LP engine once, clique cuts added once,
+    and every task only replays bound-delta chains. Each task root
+    starts cold and every child hot-starts from its parent's basis, so
+    a task's result is a function of the task alone.
+
+    The policy is plain: best-first node order, most-fractional
+    branching, and each child LP is its parent's bounds plus the one
+    branched bound (:meth:`~repro.opt.incremental.IncrementalLP.
+    tightened`). ``solver`` labels the telemetry events tasks emit.
     """
 
-    def __init__(self, form, *, use_cuts: bool = True, tighten: bool = True,
-                 seed: int = 0) -> None:
+    def __init__(self, form, *, use_cuts: bool = True, seed: int = 0,
+                 solver: str = "parallel_bb") -> None:
         self.form = form
         self.seed = seed
+        self.solver = solver
         self.lp = IncrementalLP(form)
         self.branch_idx = np.where(form.branch_integrality == 1)[0]
         self.cuts = 0
@@ -209,35 +153,35 @@ class SubtreeExplorer:
             if cliques:
                 self.lp.add_cuts(*cut_rows(form, cliques))
                 self.cuts = len(cliques)
-        self.tightener = DeltaTightener(form) if tighten else None
 
     def run_task(self, chain: Sequence[Delta], path: Path, *,
                  incumbent_val: float = math.inf,
                  node_budget: int = TASK_NODE_BUDGET,
-                 pc_arrays: Optional[Sequence[np.ndarray]] = None,
                  mip_gap: float = 1e-9,
                  deadline: Optional[Deadline] = None,
+                 cancel_event=None,
                  shared_best=None,
                  eager: bool = False) -> Dict[str, Any]:
         """Explore the subtree rooted at ``chain``/``path``.
 
         Deterministic given ``(form, seed, chain, path, incumbent_val,
-        node_budget, pc_arrays)`` — the deadline and the shared value
-        only ever stop the task early or (in eager mode) prune harder,
-        and the default mode ignores both for pruning decisions.
+        node_budget)``. The deadline and ``cancel_event`` only stop the
+        task early, at a node boundary: the node just popped goes back
+        with the other open nodes as a leftover, so a stopped task never
+        looks finished. ``shared_best`` (anything with a ``value``
+        attribute) is the best objective any task has found so far: a
+        task announces an incumbent only when it beats that value, and
+        prunes against it only in eager mode.
         """
         lp = self.lp
+        form = self.form
+        tracer = current_tracer()
         lp0, it0 = lp.lp_calls, lp.lp_iterations
-        pc_base = (PseudoCosts.from_arrays(pc_arrays)
-                   if pc_arrays is not None else PseudoCosts(self.form.n))
-        pc_delta = PseudoCosts(self.form.n)
         local_inc = float(incumbent_val)
         best_val = math.inf
         best_x: Optional[np.ndarray] = None
         nodes = 0
-        tight_prunes = 0
         order = 0
-        hit_deadline = False
         leftovers: List[Tuple[float, Path, Tuple[Delta, ...]]] = []
 
         def cutoff() -> float:
@@ -248,11 +192,26 @@ class SubtreeExplorer:
                 return math.inf
             return inc - mip_gap * max(1.0, abs(inc))
 
-        def broadcast(value: float) -> None:
-            # Lock-free write: a lost race only delays pruning, never
-            # changes what the deterministic merge will conclude.
-            if shared_best is not None and value < shared_best.value:
+        def found(value: float, x: np.ndarray) -> None:
+            """An integral LP solution: keep it if it is this task's best."""
+            nonlocal best_val, best_x, local_inc
+            if value >= best_val:
+                return
+            best_val, best_x = value, x
+            if value >= local_inc:
+                return
+            local_inc = value
+            if shared_best is not None:
+                if value >= shared_best.value:
+                    return  # another task already found one as good
+                # Lock-free write: a lost race only delays pruning or
+                # repeats an announcement, never changes what the
+                # deterministic merge will conclude.
                 shared_best.value = value
+            if tracer is not None:
+                tracer.event("incumbent", solver=self.solver, nodes=nodes,
+                             objective=form.report_objective(value),
+                             source="search")
 
         chain = tuple(chain)
         lp.set_bounds(chain)
@@ -265,13 +224,14 @@ class SubtreeExplorer:
         out: Dict[str, Any] = {
             "path": path, "root_status": root_status, "nodes": 0,
             "lp_calls": lp.lp_calls - lp0,
-            "lp_iterations": lp.lp_iterations - it0,
-            "tight_prunes": 0, "order": 0, "best_val": math.inf,
-            "best_x": None, "leftovers": [], "pc": pc_delta.snapshot(),
-            "hit_deadline": False,
+            "lp_iterations": lp.lp_iterations - it0, "order": 0,
+            "best_val": math.inf, "best_x": None, "leftovers": [],
         }
         if root_status != 0:
             return out
+        if tracer is not None and not path:
+            tracer.event("bound", solver=self.solver, nodes=0,
+                         bound=form.report_objective(float(res.fun)))
 
         # Heap entries carry each node's LP solution and final basis;
         # both children hot-start from their parent's basis.
@@ -284,74 +244,49 @@ class SubtreeExplorer:
             bound, tie, pth, chn, x, basis = heappop(heap)
             if bound >= cutoff():
                 continue
-            if nodes >= node_budget or (deadline is not None
-                                        and deadline.expired()):
-                hit_deadline = (deadline is not None and deadline.expired())
+            if (nodes >= node_budget
+                    or (deadline is not None and deadline.expired())
+                    or (cancel_event is not None and cancel_event.is_set())):
                 leftovers.append((bound, pth, chn))
                 leftovers.extend((b, p, c) for b, _, p, c, _, _ in heap)
                 break
             nodes += 1
             order = fold_hash(order, tie)
+            if tracer is not None and nodes % 1024 == 0:
+                tracer.event("progress", solver=self.solver, nodes=nodes,
+                             open=len(heap), lp_calls=lp.lp_calls - lp0,
+                             bound=form.report_objective(bound))
 
-            j = pc_base.pick(x, self.branch_idx, extra=pc_delta)
+            j = most_fractional(x, self.branch_idx)
             if j is None:
-                if bound < best_val:
-                    best_val, best_x = bound, x
-                    if best_val < local_inc:
-                        local_inc = best_val
-                        broadcast(best_val)
+                found(bound, x)
                 continue
 
             lp.set_bounds(chn)
             xj = x[j]
-            f_down = xj - math.floor(xj)
-            for direction in ("down", "up"):
-                if direction == "down":
-                    value, is_ub = float(math.floor(xj)), True
-                    if lp.lb[j] > value:
-                        continue
-                else:
-                    value, is_ub = float(math.ceil(xj)), False
-                    if value > lp.ub[j]:
-                        continue
-                extra: List[Delta] = []
-                if self.tightener is not None:
-                    infeasible, extra = self.tightener.propagate(
-                        lp.lb, lp.ub, j, is_ub, value)
-                    if infeasible:
-                        tight_prunes += 1
-                        continue
-                child_chain = chn + ((j, is_ub, value),) + tuple(extra)
-                lp.set_bounds(child_chain)
+            for value, is_ub in ((float(math.floor(xj)), True),
+                                 (float(math.ceil(xj)), False)):
+                if not lp.lb[j] <= value <= lp.ub[j]:
+                    continue  # the branch would empty the domain
                 lp.set_basis(basis)
-                child = lp.solve()
-                lp.set_bounds(chn)
+                with lp.tightened(j, is_ub, value):
+                    child = lp.solve()
                 if child.status != 0:
                     continue
                 child_bound = float(child.fun)
-                pc_delta.update(j, is_ub is False, child_bound - bound,
-                                f_down if direction == "down" else 1.0 - f_down)
-                child_x = child.x
-                if pc_base.pick(child_x, self.branch_idx,
-                                extra=pc_delta) is None:
-                    if child_bound < best_val:
-                        best_val, best_x = child_bound, child_x
-                        if best_val < local_inc:
-                            local_inc = best_val
-                            broadcast(best_val)
+                if most_fractional(child.x, self.branch_idx) is None:
+                    found(child_bound, child.x)
                 elif child_bound < cutoff():
                     child_path = pth + (encode_step(j, is_ub),)
                     heappush(heap, (child_bound,
                                     path_tie(self.seed, child_path),
-                                    child_path, child_chain, child_x,
-                                    lp.basis()))
+                                    child_path, chn + ((j, is_ub, value),),
+                                    child.x, lp.basis()))
 
         out.update(
             nodes=nodes, lp_calls=lp.lp_calls - lp0,
-            lp_iterations=lp.lp_iterations - it0,
-            tight_prunes=tight_prunes, order=order, best_val=best_val,
-            best_x=best_x, leftovers=leftovers, pc=pc_delta.snapshot(),
-            hit_deadline=hit_deadline,
+            lp_iterations=lp.lp_iterations - it0, order=order,
+            best_val=best_val, best_x=best_x, leftovers=leftovers,
         )
         return out
 
@@ -379,8 +314,7 @@ def _worker_main(wid: int, payload: bytes, task_r, res_w, shared_best,
         # part of the determinism contract, and they differ by engine.
         incremental.LP_ENGINE = cfg["lp_engine"]
         explorer = SubtreeExplorer(
-            cfg["form"], use_cuts=cfg["use_cuts"],
-            tighten=cfg["tighten"], seed=cfg["seed"])
+            cfg["form"], use_cuts=cfg["use_cuts"], seed=cfg["seed"])
         if cfg.get("telemetry"):
             from repro.obs.telemetry import TelemetryShipper
             from repro.obs.trace import Tracer, use_tracer
@@ -416,7 +350,6 @@ def _worker_main(wid: int, payload: bytes, task_r, res_w, shared_best,
                     task["chain"], task["path"],
                     incumbent_val=task["incumbent"],
                     node_budget=task["budget"],
-                    pc_arrays=task["pc"],
                     mip_gap=task["mip_gap"],
                     deadline=(Deadline.from_wire(task["deadline"])
                               if task["deadline"] is not None else None),
@@ -475,15 +408,15 @@ class WorkerPool:
     """
 
     def __init__(self, form, workers: int, *, use_cuts: bool = True,
-                 tighten: bool = True, seed: int = 0, eager: bool = False,
+                 seed: int = 0, eager: bool = False,
                  inline_fn: Optional[Callable[[Dict[str, Any]],
                                               Dict[str, Any]]] = None,
                  mp_context: Optional[str] = None, tracer=None,
                  start_timeout: float = 60.0) -> None:
         self.workers = workers
         self._payload = pickle.dumps(
-            {"form": form, "use_cuts": use_cuts, "tighten": tighten,
-             "seed": seed, "lp_engine": incremental.LP_ENGINE,
+            {"form": form, "use_cuts": use_cuts, "seed": seed,
+             "lp_engine": incremental.LP_ENGINE,
              # Workers trace iff the coordinating process does; their
              # batches ride back on result messages and are absorbed
              # into this tracer (never touching search determinism).
@@ -693,7 +626,7 @@ class WorkerPool:
 
 
 __all__ = [
-    "ROOT_EXPAND_NODES", "DISPATCH_BATCH", "TASK_NODE_BUDGET",
-    "PC_RELIABILITY", "CTX_ENV", "encode_step", "path_tie", "fold_hash",
-    "PseudoCosts", "SubtreeExplorer", "WorkerPool", "pick_context",
+    "ROOT_EXPAND_NODES", "DISPATCH_BATCH", "TASK_NODE_BUDGET", "CTX_ENV",
+    "encode_step", "path_tie", "fold_hash", "most_fractional",
+    "SubtreeExplorer", "WorkerPool", "pick_context",
 ]

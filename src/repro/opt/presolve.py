@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 from scipy import sparse
@@ -228,145 +228,6 @@ def presolve(model: Model, max_rounds: int = 20) -> PresolveResult:
                     return result
 
     return _assemble(result, model, compiled, active, lb, ub, rounds)
-
-
-class DeltaTightener:
-    """Batched bound tightening for one branch delta at a time.
-
-    The branch-and-bound engines change exactly one variable bound per
-    child node; re-running the full presolve there would cost O(nnz)
-    per node. This helper is built once per compiled model and, given
-    the *current node's* working bounds plus one candidate delta,
-    propagates only through the rows that contain the branched
-    variable — a vectorized slice of the activity-bound arithmetic the
-    global presolve runs over the whole matrix.
-
-    Two outcomes, both exact (bound propagation never cuts a feasible
-    point):
-
-    * ``infeasible=True`` — some affected row can no longer be
-      satisfied; the child can be pruned **without an LP solve**;
-    * extra ``(var, is_ub, value)`` deltas — implied integer bounds in
-      the affected rows that the child's delta chain can adopt, so the
-      LP relaxation starts tighter.
-
-    Everything is a pure function of the bound vectors, so results are
-    identical no matter which worker (or how many workers) evaluates a
-    node — the property the parallel engine's determinism contract
-    leans on.
-    """
-
-    def __init__(self, compiled: CompiledModel) -> None:
-        A = compiled.A_csr
-        self._A = A
-        self._P = A.multiply(A > 0).tocsr()
-        self._N = A.multiply(A < 0).tocsr()
-        self._csc = A.tocsc()
-        self._row_lb = compiled.row_lb
-        self._row_ub = compiled.row_ub
-        self._is_int = compiled.integrality.astype(bool)
-        self._n = compiled.n
-
-    def rows_of(self, j: int) -> np.ndarray:
-        """Indices of the constraint rows containing variable ``j``."""
-        c = self._csc
-        return c.indices[c.indptr[j]:c.indptr[j + 1]]
-
-    def propagate(self, lb: np.ndarray, ub: np.ndarray,
-                  j: int, is_ub: bool, value: float
-                  ) -> Tuple[bool, List[Tuple[int, bool, float]]]:
-        """Propagate the delta ``(j, is_ub, value)`` over ``lb``/``ub``.
-
-        ``lb``/``ub`` are the *parent* node's working bounds (read
-        only). Returns ``(infeasible, extra_deltas)`` where
-        ``extra_deltas`` are implied tightenings valid in the child
-        subtree (integer variables only, strict improvements only).
-        """
-        lbj, ubj = lb[j], ub[j]
-        if is_ub:
-            ubj = value
-        else:
-            lbj = value
-        if lbj > ubj + _TOL:
-            return True, []
-
-        rows = self.rows_of(j)
-        if rows.size == 0:
-            return False, []
-
-        # Activity bounds of the affected rows under the child bounds.
-        # Row slicing keeps this O(nnz of the affected rows).
-        P, Nn = self._P[rows], self._N[rows]
-        # The child differs from the parent in one coordinate; adjust
-        # via rank-1 updates instead of copying the bound vectors.
-        row_min = P @ lb + Nn @ ub
-        row_max = P @ ub + Nn @ lb
-        col = np.asarray(self._A[rows, j].todense()).ravel()
-        pos = col > 0
-        row_min += np.where(pos, col * (lbj - lb[j]), col * (ubj - ub[j]))
-        row_max += np.where(pos, col * (ubj - ub[j]), col * (lbj - lb[j]))
-
-        r_lb = self._row_lb[rows]
-        r_ub = self._row_ub[rows]
-        if (row_min > r_ub + _TOL).any() or (row_max < r_lb - _TOL).any():
-            return True, []
-
-        # Implied bounds for the other variables of the affected rows:
-        #   a_rk * x_k <= row_ub[r] - (row_min[r] - entry_min(r, k))
-        #   a_rk * x_k >= row_lb[r] - (row_max[r] - entry_max(r, k))
-        sub = self._A[rows]
-        e_rows_local = np.repeat(np.arange(rows.size), np.diff(sub.indptr))
-        e_cols = sub.indices
-        e_data = sub.data
-        child_lb = lb.copy()
-        child_ub = ub.copy()
-        child_lb[j], child_ub[j] = lbj, ubj
-
-        epos = e_data > 0
-        entry_min = np.where(epos, e_data * child_lb[e_cols],
-                             e_data * child_ub[e_cols])
-        entry_max = np.where(epos, e_data * child_ub[e_cols],
-                             e_data * child_lb[e_cols])
-        rest_min = row_min[e_rows_local] - entry_min
-        rest_max = row_max[e_rows_local] - entry_max
-
-        new_lb = child_lb.copy()
-        new_ub = child_ub.copy()
-        cap = np.isfinite(r_ub[e_rows_local]) & np.isfinite(rest_min)
-        limit = np.where(cap, r_ub[e_rows_local] - rest_min, np.inf)
-        bound = limit / e_data
-        take = cap & epos
-        if take.any():
-            _scatter_upper(new_ub, e_cols, bound, take, self._is_int)
-        take = cap & ~epos
-        if take.any():
-            _scatter_lower(new_lb, e_cols, bound, take, self._is_int)
-        cap = np.isfinite(r_lb[e_rows_local]) & np.isfinite(rest_max)
-        limit = np.where(cap, r_lb[e_rows_local] - rest_max, -np.inf)
-        bound = limit / e_data
-        take = cap & epos
-        if take.any():
-            _scatter_lower(new_lb, e_cols, bound, take, self._is_int)
-        take = cap & ~epos
-        if take.any():
-            _scatter_upper(new_ub, e_cols, bound, take, self._is_int)
-
-        if (new_lb > new_ub + _TOL).any():
-            return True, []
-
-        # Only *strict integer* improvements become chain deltas: they
-        # shrink the child's search space at zero LP cost, and keeping
-        # continuous bounds out of the chain keeps chains short.
-        deltas: List[Tuple[int, bool, float]] = []
-        better_ub = self._is_int & (new_ub < child_ub - _INT_TOL)
-        better_lb = self._is_int & (new_lb > child_lb + _INT_TOL)
-        for k in np.flatnonzero(better_ub):
-            if k != j:
-                deltas.append((int(k), True, float(new_ub[k])))
-        for k in np.flatnonzero(better_lb):
-            if k != j:
-                deltas.append((int(k), False, float(new_lb[k])))
-        return False, deltas
 
 
 def _scatter_upper(new_ub: np.ndarray, cols: np.ndarray, bound: np.ndarray,

@@ -3,12 +3,12 @@
 Four exact backends are provided:
 
 * ``"highs"`` — scipy's HiGHS MILP interface (default when available);
-* ``"branch_bound"`` — our own best-first branch-and-bound over scipy
-  LP relaxations;
-* ``"parallel_bb"`` — the same search decomposed over N worker
-  processes with warm per-worker LPs and deterministic round-based
-  coordination (see :mod:`repro.opt.parallel`); the spec form
-  ``"parallel_bb:N"`` pins the worker count;
+* ``"branch_bound"`` — our own best-first branch-and-bound over
+  hot-started LP relaxations, run as one in-process task of the repo's
+  one branch-and-bound engine (:mod:`repro.opt.parallel`);
+* ``"parallel_bb"`` — the same engine spread over N worker processes
+  with warm per-worker LPs and deterministic round-based coordination;
+  the spec form ``"parallel_bb:N"`` pins the worker count;
 * ``"backtrack"`` — a pure-Python exhaustive CP search for small
   all-integer models (numerics-free oracle).
 

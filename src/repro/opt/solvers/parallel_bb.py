@@ -1,7 +1,8 @@
 """Multi-process branch-and-bound backend (``parallel_bb``).
 
-A coordinator/worker split of the serial :mod:`branch_bound` search,
-built on :mod:`repro.opt.parallel`:
+The driver of the repo's one branch-and-bound engine
+(:class:`~repro.opt.parallel.SubtreeExplorer`), built on
+:mod:`repro.opt.parallel`:
 
 * the coordinator expands the root serially until the frontier is wide
   enough (phase A), then runs *rounds*: pop a fixed best-first batch of
@@ -14,14 +15,21 @@ built on :mod:`repro.opt.parallel`:
   default deterministic mode consumes it only at round boundaries (see
   the determinism contract in :mod:`repro.opt.parallel`), while
   ``eager_pruning=True`` lets workers prune against it mid-task;
-* pseudo-cost branching statistics are merged by the coordinator each
-  round and shipped with the next round's tasks;
 * a SIGKILLed worker is detected via pipe EOF, its in-flight subtree is
   re-queued (re-running a task is deterministic) and the seat respawned.
 
 With ``workers=1`` the same round machinery runs fully in-process —
 that run is the determinism reference the multi-worker runs are
-compared against in ``tests/test_parallel_bb.py``.
+compared against in ``tests/test_parallel_bb.py``. With ``root_nodes``
+at least ``max_nodes`` the phase-A root task holds the whole node
+budget, so the search is one in-process task and never reaches the
+rounds: that is the ``branch_bound`` backend
+(:mod:`repro.opt.solvers.branch_bound`).
+
+The deadline and the cancel event are checked at every node boundary
+of an in-process task and between rounds; a pool round polls the cancel
+event while it waits. ``max_nodes`` caps every phase-A task and stops
+the rounds once spent.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import math
 import os
 from contextlib import ExitStack
 from heapq import heappop, heappush
+from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -42,7 +51,6 @@ from repro.opt.parallel import (
     DISPATCH_BATCH,
     ROOT_EXPAND_NODES,
     TASK_NODE_BUDGET,
-    PseudoCosts,
     SubtreeExplorer,
     WorkerPool,
     fold_hash,
@@ -64,9 +72,8 @@ class ParallelBranchBoundBackend(SolverBackend):
 
     def __init__(self, workers: Optional[int] = None, *,
                  max_nodes: int = 200_000, use_presolve: bool = True,
-                 use_cuts: bool = True, tighten: bool = True,
-                 eager_pruning: bool = False, seed: int = 0,
-                 root_nodes: int = ROOT_EXPAND_NODES,
+                 use_cuts: bool = True, eager_pruning: bool = False,
+                 seed: int = 0, root_nodes: int = ROOT_EXPAND_NODES,
                  batch: int = DISPATCH_BATCH,
                  task_budget: int = TASK_NODE_BUDGET,
                  mp_context: Optional[str] = None,
@@ -77,7 +84,6 @@ class ParallelBranchBoundBackend(SolverBackend):
         self.max_nodes = max_nodes
         self.use_presolve = use_presolve
         self.use_cuts = use_cuts
-        self.tighten = tighten
         self.eager_pruning = eager_pruning
         self.seed = seed
         self.root_nodes = root_nodes
@@ -85,7 +91,8 @@ class ParallelBranchBoundBackend(SolverBackend):
         self.task_budget = task_budget
         self.mp_context = mp_context
         #: Optional :class:`threading.Event`; when set, the search stops
-        #: at the next round boundary (used by the portfolio backend).
+        #: at the next node boundary of an in-process task, between
+        #: rounds, or mid-round (used by the portfolio backend).
         self.cancel_event = cancel_event
         #: Optional :class:`repro.testing.FaultPlan`; a ``"kill"`` draw
         #: SIGKILLs one busy worker that round (chaos testing).
@@ -100,32 +107,29 @@ class ParallelBranchBoundBackend(SolverBackend):
         verbose: bool = False,
         warm_start=None,
     ) -> Solution:
+        # The clock starts here — before presolve — so time_limit bounds
+        # the solver's total wall time, not just the tree search.
         deadline = Deadline.start(time_limit)
+        if not self.use_presolve:
+            return self._search(model, deadline, mip_gap, warm_start)
 
-        if self.use_presolve:
-            from repro.opt.presolve import presolve
+        from repro.opt.presolve import presolve
 
-            reduction = presolve(model)
-            presolve_s = deadline.elapsed()
-            if reduction.proven_infeasible:
-                sol = Solution(SolveStatus.INFEASIBLE, solver=self.name,
-                               message="presolve proved infeasibility")
-                sol.timings.add("presolve", presolve_s)
-                return sol
-            inner = ParallelBranchBoundBackend(
-                self.workers, max_nodes=self.max_nodes, use_presolve=False,
-                use_cuts=self.use_cuts, tighten=self.tighten,
-                eager_pruning=self.eager_pruning, seed=self.seed,
-                root_nodes=self.root_nodes, batch=self.batch,
-                task_budget=self.task_budget, mp_context=self.mp_context,
-                cancel_event=self.cancel_event, fault_plan=self.fault_plan)
-            sol = inner.solve(reduction.model, deadline.remaining(), mip_gap,
-                              verbose, warm_start=warm_start)
-            sol = map_back_solution(sol, model, reduction, self.name)
+        reduction = presolve(model)
+        presolve_s = deadline.elapsed()
+        if reduction.proven_infeasible:
+            sol = Solution(SolveStatus.INFEASIBLE, solver=self.name,
+                           message="presolve proved infeasibility")
             sol.timings.add("presolve", presolve_s)
-            sol.counters["presolve_fixed"] = len(reduction.fixed)
             return sol
+        sol = self._search(reduction.model, deadline, mip_gap, warm_start)
+        sol = map_back_solution(sol, model, reduction, self.name)
+        sol.timings.add("presolve", presolve_s)
+        sol.counters["presolve_fixed"] = len(reduction.fixed)
+        return sol
 
+    def _search(self, model: Model, deadline: Deadline, mip_gap: float,
+                warm_start) -> Solution:
         if model.num_vars == 0:
             const = getattr(model.objective, "constant", 0.0)
             return Solution(SolveStatus.OPTIMAL, const, {}, solver=self.name)
@@ -133,9 +137,13 @@ class ParallelBranchBoundBackend(SolverBackend):
         form = model.compiled()
         tracer = current_tracer()
         corr = current_correlation()
+        cancel = self.cancel_event
+        # The root task holds the whole budget: one in-process task, no
+        # pool, no rounds, and none of their telemetry.
+        one_task = self.root_nodes >= self.max_nodes
         with ExitStack() as stack:
             coord_span = None
-            if tracer is not None:
+            if tracer is not None and not one_task:
                 coord_span = stack.enter_context(tracer.span(
                     "parallel_bb", workers=self.workers, batch=self.batch,
                     task_budget=self.task_budget))
@@ -145,7 +153,7 @@ class ParallelBranchBoundBackend(SolverBackend):
                 tracer.metrics.gauge("bb_pool_workers").set(self.workers)
 
             explorer = SubtreeExplorer(form, use_cuts=self.use_cuts,
-                                       tighten=self.tighten, seed=self.seed)
+                                       seed=self.seed, solver=self.name)
             if tracer is not None and explorer.cuts:
                 tracer.event("cut_round", solver=self.name,
                              cuts=explorer.cuts, kind="clique")
@@ -171,23 +179,26 @@ class ParallelBranchBoundBackend(SolverBackend):
                     return math.inf
                 return incumbent_val - mip_gap * max(1.0, abs(incumbent_val))
 
+            def cancelled() -> bool:
+                return cancel is not None and cancel.is_set()
+
             def inline_run(task: Dict[str, Any]) -> Dict[str, Any]:
                 wire = task["deadline"]
                 return explorer.run_task(
                     task["chain"], task["path"],
                     incumbent_val=task["incumbent"],
-                    node_budget=task["budget"], pc_arrays=task["pc"],
-                    mip_gap=task["mip_gap"],
+                    node_budget=task["budget"], mip_gap=task["mip_gap"],
                     deadline=(Deadline.from_wire(wire)
-                              if wire is not None else None))
+                              if wire is not None else None),
+                    cancel_event=cancel, shared_best=shared)
 
             pool: Optional[WorkerPool] = None
-            if self.workers > 1:
+            if self.workers > 1 and not one_task:
                 pool = WorkerPool(
                     form, self.workers, use_cuts=self.use_cuts,
-                    tighten=self.tighten, seed=self.seed,
-                    eager=self.eager_pruning, inline_fn=inline_run,
-                    mp_context=self.mp_context, tracer=tracer)
+                    seed=self.seed, eager=self.eager_pruning,
+                    inline_fn=inline_run, mp_context=self.mp_context,
+                    tracer=tracer)
                 if pool.start():
                     stack.callback(pool.stop)
                     if tracer is not None:
@@ -205,48 +216,41 @@ class ParallelBranchBoundBackend(SolverBackend):
                         tracer.event("pool_unavailable", solver=self.name,
                                      workers=self.workers)
 
-            pc = PseudoCosts(form.n)
-            pc_store, pc_key = _pseudocost_store(form, self.seed)
-            pc_seeded = False
-            if pc_store is not None and pc_store.seed_pseudocosts:
-                # Tier B opt-in: seeding external branching statistics
-                # changes which nodes get explored (a different — often
-                # smaller — tree with the same optimum), so it is off
-                # unless the store was built with seed_pseudocosts=True.
-                arrays = _load_pseudocosts(pc_store, pc_key, form.n)
-                if arrays is not None:
-                    pc.merge(arrays)
-                    pc_seeded = True
+            # The best value any task has found: tasks announce only
+            # what beats it, so each improvement is reported once.
+            shared = (pool.shared_best if pool is not None
+                      else SimpleNamespace(value=incumbent_val))
             frontier: List[Tuple[float, int, tuple, tuple]] = []
             nodes_total = 0
             lp_calls = 0
             lp_iterations = 0
-            tight_prunes = 0
             order_hash = 0
             rounds = 0
             stopped: Optional[str] = None
-            cancelled_mid_round = False
 
-            def merge(results: List[Dict[str, Any]], at_nodes: int) -> None:
-                nonlocal nodes_total, lp_calls, lp_iterations, tight_prunes
+            def expand(chain: tuple, path: tuple) -> Dict[str, Any]:
+                """One phase-A task, capped by what is left of max_nodes."""
+                return explorer.run_task(
+                    chain, path, incumbent_val=incumbent_val,
+                    node_budget=min(self.root_nodes,
+                                    self.max_nodes - nodes_total),
+                    mip_gap=mip_gap, deadline=deadline, cancel_event=cancel,
+                    shared_best=shared)
+
+            def merge(results: List[Dict[str, Any]]) -> None:
+                # Tasks announce their own incumbents as they find them;
+                # the merge only folds results in, in sorted-path order.
+                nonlocal nodes_total, lp_calls, lp_iterations
                 nonlocal order_hash, incumbent_val, incumbent_x
                 results.sort(key=lambda r: r["path"])
                 for r in results:
                     nodes_total += r["nodes"]
                     lp_calls += r["lp_calls"]
                     lp_iterations += r["lp_iterations"]
-                    tight_prunes += r["tight_prunes"]
                     order_hash = fold_hash(order_hash, r["order"])
-                    pc.merge(r["pc"])
                     if r["best_val"] < incumbent_val:
                         incumbent_val = r["best_val"]
                         incumbent_x = np.asarray(r["best_x"])
-                        if tracer is not None:
-                            tracer.event(
-                                "incumbent", solver=self.name,
-                                nodes=at_nodes + nodes_total,
-                                objective=form.report_objective(incumbent_val),
-                                source="search")
                 co = cutoff()
                 for r in results:
                     for bound, path, chain in r["leftovers"]:
@@ -254,19 +258,16 @@ class ParallelBranchBoundBackend(SolverBackend):
                             heappush(frontier, (bound,
                                                 path_tie(self.seed, path),
                                                 path, chain))
-                if pool is not None and incumbent_val < pool.shared_best.value:
-                    pool.shared_best.value = incumbent_val
-                    if tracer is not None:
+                if incumbent_val < shared.value:
+                    shared.value = incumbent_val
+                    if tracer is not None and pool is not None:
                         tracer.event(
                             "incumbent_broadcast", solver=self.name,
                             objective=form.report_objective(incumbent_val),
                             round=rounds)
 
             # Phase A: serial root expansion to build the first frontier.
-            root = explorer.run_task(
-                (), (), incumbent_val=incumbent_val,
-                node_budget=self.root_nodes, pc_arrays=pc.snapshot(),
-                mip_gap=mip_gap, deadline=deadline)
+            root = expand((), ())
             root_status = root["root_status"]
             if root_status == 2:
                 return Solution(SolveStatus.INFEASIBLE, solver=self.name)
@@ -275,34 +276,22 @@ class ParallelBranchBoundBackend(SolverBackend):
             if root_status != 0:
                 return Solution(SolveStatus.ERROR, solver=self.name,
                                 message=f"root LP status {root_status}")
-            if tracer is not None:
-                tracer.event("bound", solver=self.name,
-                             bound=form.report_objective(
-                                 root["leftovers"][0][0]
-                                 if root["leftovers"] else root["best_val"]),
-                             nodes=0)
-            merge([root], 0)
+            merge([root])
 
             # Keep expanding serially until the frontier is wide enough
             # AND an incumbent exists — rounds prune against the round-
             # start incumbent only, so starting them with a finite
             # cutoff is what keeps the parallel tree close to the
             # serial one. Pure function of the model: deterministic.
-            phase_a_cap = max(4 * self.root_nodes, 64)
-            while (frontier and not deadline.expired()
-                   and not (self.cancel_event is not None
-                            and self.cancel_event.is_set())
+            phase_a_cap = min(max(4 * self.root_nodes, 64), self.max_nodes)
+            while (frontier and not deadline.expired() and not cancelled()
                    and nodes_total < phase_a_cap
                    and (math.isinf(incumbent_val)
                         or len(frontier) < self.batch)):
                 bound, _, path, chain = heappop(frontier)
                 if bound >= cutoff():
                     continue
-                step = explorer.run_task(
-                    chain, path, incumbent_val=incumbent_val,
-                    node_budget=self.root_nodes, pc_arrays=pc.snapshot(),
-                    mip_gap=mip_gap, deadline=deadline)
-                merge([step], nodes_total)
+                merge([expand(chain, path)])
 
             # Rounds: fixed-size best-first batches, barrier-merged.
             while frontier:
@@ -310,12 +299,13 @@ class ParallelBranchBoundBackend(SolverBackend):
                     stopped = "deadline"
                     if tracer is not None:
                         tracer.event("deadline", where=self.name,
-                                     nodes=nodes_total, budget=time_limit)
+                                     nodes=nodes_total,
+                                     budget=deadline.limit)
                     break
-                if self.cancel_event is not None and self.cancel_event.is_set():
+                if cancelled():
                     stopped = "cancelled"
                     break
-                if nodes_total > self.max_nodes:
+                if nodes_total >= self.max_nodes:
                     stopped = "node_limit"
                     break
                 co = cutoff()
@@ -332,7 +322,6 @@ class ParallelBranchBoundBackend(SolverBackend):
                 # front, so an idle worker "steals" the deepest subtree.
                 batch.sort(key=lambda t: (-len(t[1]), t[1]))
                 wire = deadline.to_wire()
-                snap = pc.snapshot()
                 # Per-round budget ramp: early rounds stay short so the
                 # incumbent (frozen per round for determinism) refreshes
                 # quickly; later rounds amortize coordination. A pure
@@ -340,8 +329,7 @@ class ParallelBranchBoundBackend(SolverBackend):
                 budget = min(self.task_budget, 8 << (rounds - 1))
                 dispatches = [
                     {"chain": chain, "path": path, "incumbent": incumbent_val,
-                     "budget": budget, "pc": snap,
-                     "mip_gap": mip_gap, "deadline": wire,
+                     "budget": budget, "mip_gap": mip_gap, "deadline": wire,
                      "home": i % self.workers, "corr": corr}
                     for i, (_, path, chain) in enumerate(batch)]
                 if pool is not None:
@@ -350,14 +338,15 @@ class ParallelBranchBoundBackend(SolverBackend):
                             and self.fault_plan.draw() == "kill"):
                         kill_wid = rounds - 1
                     results = pool.run_round(dispatches, kill_wid=kill_wid,
-                                             cancel_event=self.cancel_event)
+                                             cancel_event=cancel)
                     if results is None:
+                        # The round's subtrees are lost with the pool;
+                        # the search is unfinished either way.
                         stopped = "cancelled"
-                        cancelled_mid_round = True
                         break
                 else:
                     results = [inline_run(d) for d in dispatches]
-                merge(results, nodes_total)
+                merge(results)
                 if tracer is not None:
                     tracer.event("progress", solver=self.name,
                                  nodes=nodes_total, open=len(frontier),
@@ -374,29 +363,24 @@ class ParallelBranchBoundBackend(SolverBackend):
                 "lp_calls": lp_calls,
                 "lp_iterations": lp_iterations,
                 "cuts": explorer.lp.cuts_added,
-                "tight_prunes": tight_prunes,
                 "node_order_hash": order_hash,
-                "bb_rounds": rounds,
-                "bb_workers": self.workers if pool is not None else 1,
-                "bb_steals": pool.steals if pool is not None else 0,
-                "bb_worker_restarts": pool.restarts if pool is not None else 0,
             }
+            if not one_task:
+                counters.update({
+                    "bb_rounds": rounds,
+                    "bb_workers": self.workers if pool is not None else 1,
+                    "bb_steals": pool.steals if pool is not None else 0,
+                    "bb_worker_restarts": (pool.restarts if pool is not None
+                                           else 0),
+                })
             if incumbent_source:
                 counters["incumbent_seeded"] = 1
-            if pc_seeded:
-                counters["pc_seeded"] = 1
-            if pc_store is not None and (pc.dcnt.any() or pc.ucnt.any()):
-                # Always write the merged statistics through (first
-                # writer wins) — future runs only *use* them when their
-                # store opts into seeding.
-                _save_pseudocosts(pc_store, pc_key, pc)
             if tracer is not None and pool is not None:
                 tracer.metrics.counter("bb_steals").inc(pool.steals)
                 if pool.restarts:
                     tracer.metrics.counter("bb_worker_restarts").inc(
                         pool.restarts)
 
-            open_left = bool(frontier) or cancelled_mid_round
             if incumbent_x is None:
                 if stopped is not None:
                     sol = Solution(
@@ -411,11 +395,16 @@ class ParallelBranchBoundBackend(SolverBackend):
             int_idx = np.where(form.integrality == 1)[0]
             x = incumbent_x.copy()
             x[int_idx] = np.round(x[int_idx])
-            status = (SolveStatus.FEASIBLE
-                      if stopped is not None and open_left
-                      else SolveStatus.OPTIMAL)
-            message = (f"{nodes_total} nodes in {rounds} rounds "
-                       f"({counters['bb_workers']} workers)")
+            # A stop always leaves open nodes behind (a stopped task
+            # returns the node it popped), so only a search that ran
+            # out of nodes has proven its incumbent.
+            status = (SolveStatus.OPTIMAL if stopped is None
+                      else SolveStatus.FEASIBLE)
+            if one_task:
+                message = f"{nodes_total} nodes explored"
+            else:
+                message = (f"{nodes_total} nodes in {rounds} rounds "
+                           f"({counters['bb_workers']} workers)")
             if incumbent_source:
                 message += f"; incumbent seeded from {incumbent_source}"
             sol = Solution(
@@ -427,66 +416,6 @@ class ParallelBranchBoundBackend(SolverBackend):
             )
             sol.counters.update(counters)
             return sol
-
-
-def _form_digest(form) -> str:
-    """Structural identity of a compiled form (constraints and bounds,
-    *not* the objective).
-
-    The objective is deliberately excluded: pseudo-cost statistics are
-    a branching heuristic, and the whole point of persisting them is to
-    warm up re-weighted solves of the same feasible region (a weight
-    sweep). Stats from a different weighting can only reorder the
-    search, never change the optimum.
-    """
-    import hashlib
-
-    h = hashlib.sha256()
-    h.update(f"{form.n}:{form.m}".encode())
-    for arr in (form.a_rows, form.a_cols, form.a_data, form.rhs,
-                form.senses, form.lb, form.ub, form.integrality):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()
-
-
-def _pseudocost_store(form, seed: int):
-    """The ambient store and this form's pseudo-cost key (or None, None)."""
-    from repro.store import active_store, artifact_key
-
-    store = active_store()
-    if store is None:
-        return None, None
-    return store, artifact_key("pseudocosts", _form_digest(form), seed)
-
-
-def _load_pseudocosts(store, key: str, n: int):
-    """Stored snapshot arrays for :meth:`PseudoCosts.merge`, or None."""
-    payload = store.get(key, "pseudocosts")
-    if payload is None:
-        return None
-    try:
-        dsum = np.asarray(payload["dsum"], dtype=float)
-        dcnt = np.asarray(payload["dcnt"], dtype=np.int64)
-        usum = np.asarray(payload["usum"], dtype=float)
-        ucnt = np.asarray(payload["ucnt"], dtype=np.int64)
-        if not (len(dsum) == len(dcnt) == len(usum) == len(ucnt) == n):
-            raise ValueError("pseudo-cost arrays do not match the form")
-        return (dsum, dcnt, usum, ucnt)
-    except Exception:
-        store.delete(key)
-        return None
-
-
-def _save_pseudocosts(store, key: str, pc: PseudoCosts) -> None:
-    """Write-through of the merged statistics; never fails the solve."""
-    try:
-        snap = pc.snapshot()
-        store.put(key, "pseudocosts", {
-            "dsum": snap[0].tolist(), "dcnt": snap[1].tolist(),
-            "usum": snap[2].tolist(), "ucnt": snap[3].tolist(),
-        })
-    except Exception:
-        pass
 
 
 __all__ = ["ParallelBranchBoundBackend", "default_workers"]

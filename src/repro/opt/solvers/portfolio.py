@@ -17,16 +17,18 @@ guards this contract.
 Threads (not processes) are deliberate: scipy's HiGHS calls release the
 GIL, the compiled model is shared read-only, and cancellation is a
 cheap :class:`threading.Event` instead of process kill. On a single
-core the race still helps whenever one member finishes quickly — the
-loser is cancelled after at most one further LP relaxation.
+core the race still helps whenever one member finishes quickly — a
+branch-and-bound loser stops at its next node boundary, after at most
+the two child LP relaxations of the node it is expanding.
 
 ``parallel_bb`` (optionally as a ``"parallel_bb:N"`` worker spec) can
-race too: it gets the same cancellation event, which it checks at every
-round boundary, and its worker pool is torn down when it loses. Search
-effort spent by *every* member that finished is rolled up into the
-winner's ``race_*`` counters via
-:func:`repro.opt.solvers.base.merge_counters`, so multi-loop solves no
-longer under-report their cost.
+race too. It runs the same branch-and-bound driver as ``branch_bound``
+and gets the same cancellation event: in-process tasks check it at
+every node boundary, a pool round polls it while it waits, and the
+worker pool is torn down when the member loses. Search effort spent by
+*every* member that finished is rolled up into the winner's ``race_*``
+counters via :func:`repro.opt.solvers.base.merge_counters`, so
+multi-loop solves no longer under-report their cost.
 """
 
 from __future__ import annotations
@@ -78,25 +80,15 @@ class PortfolioBackend(SolverBackend):
                      cancel: threading.Event) -> SolverBackend:
         if isinstance(member, SolverBackend):
             return member
-        if member == "highs":
-            from repro.opt.solvers.highs import HighsBackend
-
-            return HighsBackend()
-        if member == "branch_bound":
-            from repro.opt.solvers.branch_bound import BranchBoundBackend
-
-            return BranchBoundBackend(cancel_event=cancel)
-        if member == "parallel_bb" or member.startswith("parallel_bb:"):
-            from repro.opt.solvers import parse_backend_spec
-            from repro.opt.solvers.parallel_bb import (
-                ParallelBranchBoundBackend,
-            )
-
-            _, workers = parse_backend_spec(member)
-            return ParallelBranchBoundBackend(workers, cancel_event=cancel)
         from repro.opt.solvers import get_backend
+        from repro.opt.solvers.parallel_bb import ParallelBranchBoundBackend
 
-        return get_backend(member)
+        backend = get_backend(member)
+        if isinstance(backend, ParallelBranchBoundBackend):
+            # Both B&B members (branch_bound and parallel_bb[:N]) run
+            # the same driver, which stops on this event.
+            backend.cancel_event = cancel
+        return backend
 
     def solve(
         self,

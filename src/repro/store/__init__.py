@@ -15,9 +15,8 @@ Two tiers:
   re-verified by the independent feasibility checker before it is
   trusted, without touching a solver.
 * **Tier B — warm artifacts.** Structure-only keys store enumerated
-  path catalogs, optimal incumbents and ``parallel_bb`` pseudo-cost
-  snapshots, so near-miss instances (same structure, new weights or
-  budget) start warm instead of cold.
+  path catalogs and optimal incumbents, so near-miss instances (same
+  structure, new weights or budget) start warm instead of cold.
 
 Activation is explicit: pass a :class:`Store` via
 ``SynthesisOptions.store`` / ``run_batch(store=...)`` /

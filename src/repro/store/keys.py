@@ -41,7 +41,6 @@ KNOWN_KINDS = (
     "result",       # Tier A: a complete verified SynthesisResult
     "catalog",      # Tier B: an enumerated path catalog
     "incumbent",    # Tier B: an optimal assignment (name -> value)
-    "pseudocosts",  # Tier B: branching statistics arrays
 )
 
 

@@ -85,7 +85,6 @@ class Store:
 
     def __init__(self, root: Union[str, Path],
                  max_bytes: Optional[int] = None,
-                 seed_pseudocosts: bool = False,
                  instance: Optional[str] = None) -> None:
         self.root = Path(root)
         #: Metric namespace for this store's tracer counters. Defaults
@@ -95,24 +94,16 @@ class Store:
         self.instance = instance if instance is not None else self.root.name
         #: Byte cap enforced by :meth:`gc` (None = unbounded).
         self.max_bytes = max_bytes
-        #: Whether ``parallel_bb`` may *seed* branching statistics from
-        #: stored snapshots. Off by default: seeding never changes
-        #: objectives or assignments, but it does change node counts
-        #: between runs, which the parallel backend's strict
-        #: node-determinism contract would otherwise forbid.
-        self.seed_pseudocosts = seed_pseudocosts
         self.counters: Dict[str, int] = {name: 0 for name in _COUNTER_NAMES}
         self._puts_since_gc = 0
 
     # -- pickling (configuration only; counters are per-process) -------
     def __getstate__(self) -> Dict[str, Any]:
         return {"root": str(self.root), "max_bytes": self.max_bytes,
-                "seed_pseudocosts": self.seed_pseudocosts,
                 "instance": self.instance}
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__init__(state["root"], max_bytes=state["max_bytes"],
-                      seed_pseudocosts=state["seed_pseudocosts"],
                       instance=state.get("instance"))
 
     def __repr__(self) -> str:

@@ -18,8 +18,9 @@ import pytest
 from repro.core import BindingPolicy, SynthesisOptions, synthesize
 from repro.cases import chip_sw1
 from repro.errors import SolverError
-from repro.opt import DeltaTightener, Model, SolveStatus, quicksum
-from repro.opt.parallel import PseudoCosts, SubtreeExplorer, path_tie
+from repro.obs import Tracer, use_tracer
+from repro.opt import Model, SolveStatus, WarmStart, quicksum
+from repro.opt.parallel import SubtreeExplorer, most_fractional, path_tie
 from repro.opt.solvers import (
     available_backends,
     get_backend,
@@ -27,13 +28,14 @@ from repro.opt.solvers import (
     parse_backend_spec,
     register_backend,
 )
+from repro.opt.solvers.branch_bound import BranchBoundBackend
 from repro.opt.solvers.parallel_bb import ParallelBranchBoundBackend
 from repro.opt.solvers.portfolio import PortfolioBackend
 from repro.testing import FaultPlan
 
 #: Counters that must be identical across worker counts.
 DETERMINISTIC_COUNTERS = ("nodes", "lp_calls", "lp_iterations",
-                          "node_order_hash", "bb_rounds", "tight_prunes")
+                          "node_order_hash", "bb_rounds")
 
 
 def knapsack_hard(seed=2, n=18, rows=4, tightness=0.45):
@@ -145,8 +147,45 @@ def test_cancel_event_stops_at_round_boundary():
     sol = backend.solve(knapsack_hard())
     # pre-cancelled: the search may keep phase-A findings but must not
     # claim a completed proof with open subtrees left
-    assert sol.status in (SolveStatus.TIME_LIMIT, SolveStatus.FEASIBLE,
-                          SolveStatus.OPTIMAL)
+    assert sol.status in (SolveStatus.TIME_LIMIT, SolveStatus.FEASIBLE)
+
+
+def _zero_warm_start(model):
+    """The all-zero assignment: feasible for every knapsack, objective 0."""
+    return WarmStart({v.name: 0.0 for v in model.variables}, 0.0, "zero")
+
+
+def _stopped_early(name, stop):
+    """One search stopped before it explored anything, three ways."""
+    cancel = threading.Event()
+    max_nodes = 0 if stop == "node_limit" else 200_000
+    if stop == "cancel":
+        cancel.set()
+    if name == "branch_bound":
+        backend = BranchBoundBackend(max_nodes=max_nodes, cancel_event=cancel)
+    else:
+        backend = ParallelBranchBoundBackend(1, max_nodes=max_nodes,
+                                             cancel_event=cancel)
+    m = knapsack_hard()
+    time_limit = 1e-6 if stop == "deadline" else None
+    return backend.solve(m, time_limit=time_limit,
+                         warm_start=_zero_warm_start(m)), max_nodes
+
+
+@pytest.mark.parametrize("stop", ["deadline", "node_limit", "cancel"])
+@pytest.mark.parametrize("name", ["branch_bound", "parallel_bb:1"])
+def test_search_stopped_on_its_last_open_node_is_not_optimal(name, stop):
+    """A stop on the only open node leaves that node unexplored.
+
+    The optimum is 307, so the warm incumbent (0) is unproven: the
+    search must say so instead of returning it as OPTIMAL.
+    """
+    sol, max_nodes = _stopped_early(name, stop)
+    assert sol.status in (SolveStatus.TIME_LIMIT, SolveStatus.FEASIBLE)
+    # the serial root expansion honours max_nodes too
+    assert sol.counters["nodes"] <= max_nodes
+    if stop == "cancel":
+        assert sol.counters["nodes"] == 0
 
 
 def test_warm_start_seeds_incumbent():
@@ -160,6 +199,26 @@ def test_warm_start_seeds_incumbent():
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(ref.objective)
     assert sol.counters.get("incumbent_seeded") == 1
+
+
+@pytest.mark.parametrize("backend", ["branch_bound", "parallel_bb:1"])
+def test_traced_search_announces_each_incumbent_once(backend):
+    """Tasks announce their own incumbents and the driver does not
+    repeat them; only a run with rounds opens the coordinator span."""
+    tracer = Tracer("bb")
+    with use_tracer(tracer):
+        sol = knapsack_hard(seed=2, n=16).solve(backend=backend)
+    records = tracer.records()
+    announced = [r["attrs"]["objective"] for r in records
+                 if r["type"] == "event" and r["name"] == "incumbent"]
+    # a maximization: every announcement strictly improves the last
+    assert len(announced) >= 2 and announced == sorted(set(announced))
+    assert announced[-1] == pytest.approx(sol.objective)
+    spans = {r["name"] for r in records if r["type"] == "span_begin"}
+    metrics = {r["name"] for r in records if r["type"] == "metric"}
+    has_rounds = backend != "branch_bound"
+    assert ("parallel_bb" in spans) is has_rounds
+    assert ("bb_pool_workers" in metrics) is has_rounds
 
 
 # ----------------------------------------------------------------------
@@ -229,23 +288,17 @@ def test_path_tie_is_pure_function_of_identity():
     assert path_tie(0, (1, 2)) != path_tie(0, (2, 1))
 
 
-def test_pseudocosts_merge_and_pick():
-    pc = PseudoCosts(3)
-    pc.update(0, False, degradation=4.0, fraction=0.5)
-    pc.update(0, True, degradation=4.0, fraction=0.5)
-    other = PseudoCosts(3)
-    other.update(1, False, degradation=0.1, fraction=0.5)
-    other.update(1, True, degradation=0.1, fraction=0.5)
-    pc.merge(other.snapshot())
+def test_most_fractional_branching():
     branch_idx = np.array([0, 1, 2])
-    # both 0 and 1 are reliable; 0 has far larger degradation per unit
-    x = np.array([0.5, 0.5, 0.0])
-    assert pc.pick(x, branch_idx) == 0
+    # the variable farthest from integrality wins
+    assert most_fractional(np.array([0.2, 0.49, 0.0]), branch_idx) == 1
     # integral vector: nothing to branch on
-    assert pc.pick(np.array([1.0, 0.0, 1.0]), branch_idx) is None
-    # no reliable stats at all: most fractional wins
-    fresh = PseudoCosts(3)
-    assert fresh.pick(np.array([0.2, 0.49, 0.0]), branch_idx) == 1
+    assert most_fractional(np.array([1.0, 0.0, 1.0]), branch_idx) is None
+    # a tie goes to the lowest index
+    assert most_fractional(np.array([0.0, 0.5, 0.5]), branch_idx) == 1
+    # only the branch set is considered
+    assert most_fractional(np.array([0.5, 0.0, 1.0]),
+                           np.array([1, 2])) is None
 
 
 def test_subtree_explorer_task_is_deterministic():
@@ -256,85 +309,6 @@ def test_subtree_explorer_task_is_deterministic():
     assert a["order"] == b["order"]
     assert a["lp_calls"] == b["lp_calls"]
     assert [l[:2] for l in a["leftovers"]] == [l[:2] for l in b["leftovers"]]
-
-
-# ----------------------------------------------------------------------
-# DeltaTightener (per-node vectorized bound propagation)
-# ----------------------------------------------------------------------
-
-def _compiled(builder):
-    m = Model()
-    builder(m)
-    return m, m.compiled()
-
-
-def test_delta_tightener_implied_upper_bound():
-    def build(m):
-        x = m.add_integer("x", 0, 3)
-        y = m.add_integer("y", 0, 3)
-        m.add_constr(x + y <= 3)
-        m.set_objective(x + y, "max")
-
-    _, form = _compiled(build)
-    tight = DeltaTightener(form)
-    # branch x >= 3 forces y <= 0
-    infeasible, extra = tight.propagate(form.lb, form.ub, 0, False, 3.0)
-    assert not infeasible
-    assert (1, True, 0.0) in extra
-
-
-def test_delta_tightener_implied_lower_bound():
-    def build(m):
-        a = m.add_integer("a", 0, 3)
-        b = m.add_integer("b", 0, 3)
-        m.add_constr(a + b >= 5)
-        m.set_objective(a + b, "min")
-
-    _, form = _compiled(build)
-    tight = DeltaTightener(form)
-    # branch a <= 2 forces b >= 3
-    infeasible, extra = tight.propagate(form.lb, form.ub, 0, True, 2.0)
-    assert not infeasible
-    assert (1, False, 3.0) in extra
-
-
-def test_delta_tightener_detects_infeasibility():
-    def build(m):
-        x = m.add_integer("x", 0, 3)
-        y = m.add_integer("y", 0, 3)
-        m.add_constr(x + y >= 5)
-        m.set_objective(x, "min")
-
-    _, form = _compiled(build)
-    tight = DeltaTightener(form)
-    # branch x <= 1: max activity 1 + 3 = 4 < 5
-    infeasible, extra = tight.propagate(form.lb, form.ub, 0, True, 1.0)
-    assert infeasible and extra == []
-
-
-def test_delta_tightener_equality_rows():
-    def build(m):
-        p = m.add_integer("p", 0, 4)
-        q = m.add_integer("q", 0, 2)
-        m.add_constr(p + 2 * q == 4)
-        m.set_objective(p, "min")
-
-    _, form = _compiled(build)
-    tight = DeltaTightener(form)
-    # branch q >= 2 pins p <= 0
-    infeasible, extra = tight.propagate(form.lb, form.ub, 1, False, 2.0)
-    assert not infeasible
-    assert (0, True, 0.0) in extra
-
-
-def test_delta_tightener_never_cuts_the_optimum():
-    """Tightening on vs off must agree on every optimum (exactness)."""
-    for seed in (2, 4, 9):
-        on = ParallelBranchBoundBackend(1, tighten=True).solve(
-            knapsack_hard(seed=seed, n=14))
-        off = ParallelBranchBoundBackend(1, tighten=False).solve(
-            knapsack_hard(seed=seed, n=14))
-        assert on.objective == pytest.approx(off.objective)
 
 
 # ----------------------------------------------------------------------

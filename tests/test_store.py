@@ -393,6 +393,27 @@ def test_verify_reports_and_repairs(tmp_path):
     assert store.verify() == {"checked": 1, "valid": 1, "invalid": []}
 
 
+def test_entries_of_a_retired_kind_stay_valid_and_age_out(tmp_path):
+    """Older stores can hold ``pseudocosts`` entries (branching
+    statistics) that nothing reads any more: they must audit clean,
+    show up in the stats, and be evicted by gc like any other entry."""
+    import os
+
+    store = Store(tmp_path)
+    old = artifact_key("pseudocosts", "form-digest", 0)
+    store.put(old, "pseudocosts", {"dsum": [0.5], "dcnt": [1],
+                                   "usum": [1.5], "ucnt": [1]})
+    os.utime(store._object_path(old), (1000, 1000))  # least recently used
+    store.put(some_key(), "catalog", {"routes": []})
+    assert store.verify() == {"checked": 2, "valid": 2, "invalid": []}
+    assert store.stats()["by_kind"] == {"catalog": 1, "pseudocosts": 1}
+    newest = store._object_path(some_key()).stat().st_size
+    report = store.gc(max_bytes=newest)
+    assert report["evicted"] == 1
+    assert not store._object_path(old).exists()
+    assert store.contains(some_key(), "catalog")
+
+
 def test_stats_shape(tmp_path):
     store = Store(tmp_path, max_bytes=1 << 20)
     store.put(some_key(), "catalog", {"routes": []})
@@ -405,12 +426,11 @@ def test_stats_shape(tmp_path):
 
 
 def test_store_pickles_by_configuration(tmp_path):
-    store = Store(tmp_path, max_bytes=123, seed_pseudocosts=True)
+    store = Store(tmp_path, max_bytes=123)
     store.put(some_key(), "catalog", {"routes": []})
     clone = pickle.loads(pickle.dumps(store))
     assert str(clone.root) == str(store.root)
     assert clone.max_bytes == 123
-    assert clone.seed_pseudocosts is True
     assert clone.counters["puts"] == 0  # counters are per-process
     assert clone.contains(some_key(), "catalog")  # same on-disk cache
 
