@@ -33,9 +33,21 @@ once a second it pulls an incremental batch (``telemetry`` verb) from
 every live shard into a :class:`~repro.obs.telemetry.TelemetryCollector`,
 whose merged stream, aggregated metric snapshots and per-job flight
 recorder back ``GET /metrics``, ``GET /jobs/<id>/trace`` and the merged
-trace artifact written on :meth:`stop`. Logical clocks piggyback on
-every RPC in both directions (``_clock`` in payload and reply), so the
-deterministic merge orders causally-related records consistently.
+trace artifact written on :meth:`stop` (the first two also pull on
+demand). Logical clocks piggyback on every RPC in both directions
+(``_clock`` in payload and reply), so the deterministic merge orders
+causally-related records consistently.
+
+**Completion.** Each shard pushes the line of every job a worker
+finishes down a one-way notify pipe. A dedicated listener thread
+blocks on all of them with :func:`multiprocessing.connection.wait` and
+hands each line to the :meth:`wait` callers blocked on that job, so a
+waiter wakes when its job finishes instead of re-reading it over RPC
+on a timer. The monitor thread cannot do this: it blocks for seconds
+in a respawn or a telemetry pull, and a shard whose notify pipe fills
+up blocks the worker that sends. A respawn wakes every waiter to
+re-read once, since the old incarnation may have journaled a job
+without pushing it.
 
 Pipes are not thread-safe, so every shard has its own lock serializing
 request/response pairs; the HTTP tier's many threads contend only when
@@ -51,6 +63,7 @@ import signal
 import threading
 import time
 import zlib
+from multiprocessing import connection
 from typing import Any, Dict, List, Optional
 
 from repro.errors import AdmissionError, ServiceError
@@ -66,6 +79,9 @@ SPAWN_DEADLINE = 60.0
 RPC_SLICE = 0.1
 #: How often the monitor thread pulls telemetry batches from shards.
 TELEMETRY_INTERVAL = 1.0
+#: How long a waiter blocks before a safety re-read of its job, in case
+#: a push went missing; a pushed line normally wakes it long before.
+WAIT_REREAD = 5.0
 
 
 class ShardError(ServiceError):
@@ -87,12 +103,15 @@ def pick_context() -> mp.context.BaseContext:
 
 
 class _Shard:
-    """Coordinator-side handle: process + pipe + lock + lifecycle stats."""
+    """Coordinator-side handle: process + pipes + lock + lifecycle stats."""
 
     def __init__(self, config: ShardConfig) -> None:
         self.config = config
         self.process: Optional[mp.process.BaseProcess] = None
         self.conn: Any = None
+        #: Read end of the current incarnation's notify pipe, read by
+        #: the listener thread only.
+        self.notify: Any = None
         self.lock = threading.Lock()
         self.restarts = 0
         self.pid: Optional[int] = None
@@ -162,6 +181,17 @@ class ShardCoordinator:
             )))
         self._stopping = threading.Event()
         self._monitor: Optional[threading.Thread] = None
+        #: Set once ``stop`` has stopped every shard; ends the listener.
+        self._stopped = threading.Event()
+        self._listener: Optional[threading.Thread] = None
+        #: Guards the waiter state below and wakes blocked waiters.
+        self._wake = threading.Condition()
+        #: job id -> number of ``wait`` calls blocked on it.
+        self._waiters: Dict[str, int] = {}
+        #: job id -> pushed terminal line, kept only for waited-on jobs.
+        self._pushed: Dict[str, Dict[str, Any]] = {}
+        #: Shard respawns so far; a waiter re-reads when it changes.
+        self._respawns = 0
         self._started = False
         self._tracer_ctx: Optional[Any] = None
 
@@ -190,6 +220,9 @@ class ShardCoordinator:
             self._tracer_ctx.__enter__()
         for shard in self._shards:
             self._spawn(shard, reason="start")
+        self._listener = threading.Thread(
+            target=self._listen, name="shard-listener", daemon=True)
+        self._listener.start()
         self._monitor = threading.Thread(
             target=self._watch, name="shard-monitor", daemon=True)
         self._monitor.start()
@@ -205,11 +238,13 @@ class ShardCoordinator:
         sees all pre-crash state.
         """
         parent_conn, child_conn = self._ctx.Pipe()
+        notify, child_notify = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
-            target=shard_main, args=(shard.config, child_conn),
+            target=shard_main, args=(shard.config, child_conn, child_notify),
             name=f"repro-shard-{shard.config.index}", daemon=True)
         process.start()
         child_conn.close()
+        child_notify.close()
         deadline = time.monotonic() + SPAWN_DEADLINE
         while not parent_conn.poll(RPC_SLICE):
             if time.monotonic() > deadline or not process.is_alive():
@@ -228,6 +263,7 @@ class ShardCoordinator:
                 f"({reason}); journal {shard.config.journal}") from exc
         shard.process = process
         shard.conn = parent_conn
+        shard.notify = notify
         shard.pid = hello.get("pid")
         obs_event("shard_up", shard=shard.config.index, pid=shard.pid,
                   reason=reason, replayed=hello.get("replayed", 0))
@@ -253,6 +289,34 @@ class ShardCoordinator:
                 last_pull = time.monotonic()
                 self.pull_telemetry()
             self._stopping.wait(0.2)
+
+    def _listen(self) -> None:
+        """Listener thread: hand pushed terminal lines to their waiters.
+
+        Owns every notify pipe it has seen. A respawned shard's new pipe
+        joins within one timeout slice; EOF (that incarnation died)
+        retires the old one. Runs until :meth:`stop` has stopped every
+        shard, so a draining shard never blocks on a full pipe.
+        """
+        watched: set = set()
+        try:
+            while not self._stopped.is_set():
+                watched.update(shard.notify for shard in self._shards
+                               if not shard.notify.closed)
+                for conn in connection.wait(list(watched), timeout=0.2):
+                    try:
+                        line = conn.recv()
+                    except (EOFError, OSError):
+                        watched.discard(conn)
+                        conn.close()
+                        continue
+                    with self._wake:
+                        if line["id"] in self._waiters:
+                            self._pushed[line["id"]] = line
+                            self._wake.notify_all()
+        finally:
+            for conn in watched:
+                conn.close()
 
     def pull_telemetry(self) -> int:
         """Pull one incremental telemetry batch from every live shard.
@@ -294,12 +358,19 @@ class ShardCoordinator:
         self._spawn(shard, reason="crash")
         obs_event("shard_restarted", shard=shard.config.index,
                   pid=shard.pid, restarts=shard.restarts)
+        # The journal replay is done: every waiter re-reads once, since
+        # the dead incarnation may have finished a job it never pushed.
+        with self._wake:
+            self._respawns += 1
+            self._wake.notify_all()
 
     def stop(self, drain: Any = True,
              deadline: Optional[float] = None) -> Dict[str, Any]:
         """Stop every shard (RPC first, escalating to terminate)."""
         was_started = self._started
         self._stopping.set()
+        with self._wake:
+            self._wake.notify_all()  # each waiter raises ShardError
         if self._monitor is not None:
             self._monitor.join(timeout=5.0)
         summaries: Dict[str, Any] = {"shards": {}, "stopped": True}
@@ -335,6 +406,12 @@ class ShardCoordinator:
                     with contextlib.suppress(Exception):
                         shard.conn.close()
                 summaries["shards"][str(shard.config.index)] = summary
+        self._stopped.set()
+        if self._listener is not None:
+            self._listener.join(timeout=5.0)
+        for shard in self._shards:
+            if shard.notify is not None:
+                shard.notify.close()  # pipes the listener never saw
         if self.trace_dir is not None and self.telemetry and was_started:
             # One merged artifact next to the per-shard traces: the
             # whole platform's record stream as a single valid trace.
@@ -508,19 +585,50 @@ class ShardCoordinator:
 
     def wait(self, job_id: str,
              timeout: Optional[float] = None) -> Dict[str, Any]:
-        """Poll a job until terminal; returns its final line.
+        """Block until a job is terminal; returns its final line.
 
-        Long-polling lives here, coordinator-side, so the shard RPC
-        loop never blocks on one caller's patience.
+        Reads the job once over RPC, then sleeps on a condition until
+        the listener hands over the line its shard pushed. A shard
+        respawn, the ``timeout`` deadline and a safety interval
+        (``WAIT_REREAD``) each end the sleep with a re-read over RPC
+        instead, because the journal stays the ground truth; past the
+        deadline that read is returned as it stands. Long-polling lives
+        here, coordinator-side, so the shard RPC loop never blocks on
+        one caller's patience. :meth:`stop` ends every wait with
+        :class:`ShardError`.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            job = self.job(job_id)
-            if job["state"] in TERMINAL_STATES:
-                return job
-            if deadline is not None and time.monotonic() >= deadline:
-                return job
-            time.sleep(0.05)
+        with self._wake:
+            self._waiters[job_id] = self._waiters.get(job_id, 0) + 1
+        try:
+            while True:
+                respawns = self._respawns
+                job = self.job(job_id)
+                now = time.monotonic()
+                if job["state"] in TERMINAL_STATES or (
+                        deadline is not None and now >= deadline):
+                    return job
+                wake_by = now + WAIT_REREAD
+                if deadline is not None:
+                    wake_by = min(wake_by, deadline)
+                with self._wake:
+                    self._wake.wait_for(
+                        lambda: (job_id in self._pushed
+                                 or self._respawns != respawns
+                                 or self._stopping.is_set()),
+                        timeout=wake_by - time.monotonic())
+                    line = self._pushed.get(job_id)
+                if line is not None:
+                    return {**line, "shard": job["shard"]}
+                if self._stopping.is_set():
+                    raise ShardError(
+                        f"shard {job['shard']} unavailable (stopping)")
+        finally:
+            with self._wake:
+                self._waiters[job_id] -= 1
+                if not self._waiters[job_id]:
+                    del self._waiters[job_id]
+                    self._pushed.pop(job_id, None)
 
     #: Numeric per-shard stats that are meaningful summed.
     _SUMMED = ("queue_depth", "in_flight", "shed", "worker_crashes")

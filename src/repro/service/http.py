@@ -37,10 +37,12 @@ into a reproduction repo:
 ========================  ============================================
 
 Requests are served by :class:`ThreadingHTTPServer` — one thread per
-connection, which is fine because handlers only do pipe RPCs and
-sleeps; the coordinator's per-shard locks serialize actual shard
-traffic. Long-polling happens here (coordinator ``wait``), never
-inside a shard, so a slow client cannot stall a shard's RPC loop.
+connection, which is fine because handlers only do pipe RPCs and block
+on the coordinator's completion condition; the coordinator's per-shard
+locks serialize actual shard traffic. Long-polling happens here
+(coordinator ``wait``, woken by the line the shard pushes when the job
+finishes), never inside a shard, so a slow client cannot stall a
+shard's RPC loop.
 """
 
 from __future__ import annotations

@@ -44,7 +44,7 @@ import threading
 import time
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.spec import SwitchSpec
 from repro.core.synthesizer import SynthesisOptions, synthesize
@@ -148,7 +148,8 @@ class SynthesisService:
         #: job id -> record; *is* the journal's map once opened, so the
         #: WAL and the in-memory view can never disagree.
         self.jobs: Dict[str, JobRecord] = {}
-        self._specs: Dict[str, SwitchSpec] = {}  # parsed-spec cache
+        #: Parsed specs of non-terminal jobs; ``_finish`` evicts.
+        self._specs: Dict[str, SwitchSpec] = {}
         self._lock = threading.RLock()
         self._terminal = threading.Condition(self._lock)
         self._in_flight = 0
@@ -163,6 +164,12 @@ class SynthesisService:
         #: Submission ordinal; with the job fingerprint it forms the
         #: correlation ID stamped on everything the job produces.
         self._submissions = 0
+        #: Internal hook, called with the record once a worker finishes
+        #: a job: after the journal write and the ``job_done`` /
+        #: ``job_failed`` and ``repair_*`` events, never under the
+        #: service lock. A shard sets it to push the line to its
+        #: coordinator.
+        self.on_terminal: Optional[Callable[[JobRecord], None]] = None
 
     # -- lifecycle -------------------------------------------------------
     def start(self) -> "SynthesisService":
@@ -260,14 +267,16 @@ class SynthesisService:
                         self._journal.record_job(record)
                     else:
                         self.jobs[job_id] = record
-                    self._specs[job_id] = spec
                     self._counter("service_store_dedup")
                     obs_event("job_submitted", job=job_id, case=spec.name,
                               store=True,
                               **({"tenant": tenant} if tenant else {}))
                     if is_repair_job(record):
                         self._note_repair_submitted(record, spec)
-                    self._finish(record, 0, "done", row, None)
+                    # No push: the submitter gets this terminal line as
+                    # the reply, and nobody can be waiting on a job id
+                    # that did not exist until now.
+                    self._finish(record, 0, "done", row, None, push=False)
                     return job_id
                 reason = self.queue.shed_reason(tenant)
                 if reason is not None:
@@ -521,7 +530,8 @@ class SynthesisService:
         spec = self._specs.get(job.id)
         if spec is None:
             spec = spec_from_dict(job.spec)
-            self._specs[job.id] = spec
+            if not job.terminal:  # a finished job's spec is not kept
+                self._specs[job.id] = spec
         return spec
 
     def _pick_backend(self) -> Optional[str]:
@@ -624,8 +634,10 @@ class SynthesisService:
             pass
 
     def _finish(self, job: JobRecord, attempt: int, state: str,
-                row: Dict[str, Any], error: Optional[str]) -> None:
+                row: Dict[str, Any], error: Optional[str], *,
+                push: bool = True) -> None:
         self._transition(job, state, attempt, row=row, error=error)
+        self._specs.pop(job.id, None)
         self._counter(f"service_jobs_{state}")
         self._observe("service_job_latency",
                       max(0.0, time.time() - job.submitted_at))
@@ -641,6 +653,8 @@ class SynthesisService:
                 self._counter("repair_completed")
                 obs_event("repair_done", job=job.id, state=state,
                           status=row.get("status"))
+        if push and self.on_terminal is not None:
+            self.on_terminal(job)
 
     def _transition(self, job: JobRecord, state: str, attempts: int,
                     row: Optional[Dict[str, Any]] = None,

@@ -29,10 +29,30 @@ stop       ``{"drain", "deadline"?}`` → ``{"ok": True, "summary",
            carrying its final telemetry batch; it then exits)
 =========  =======================================================
 
+=========  =======================================================
+notify     shard → coordinator, one-way, on its own pipe: one
+           ``<job line>`` per job a worker finishes, never replied to
+=========  =======================================================
+
 Every payload may carry a ``_clock`` key — the coordinator's logical
 clock, witnessed by the shard's tracer so merged cross-process traces
 order causally-related records consistently (see
 :mod:`repro.obs.telemetry`).
+
+Only the ``telemetry`` reply and the final ``stop`` reply carry a
+telemetry batch; every other reply carries just ``_clock``.
+
+Beside the RPC pipe, each shard gets a one-way **notify pipe**. When a
+worker finishes a job, the shard sends the job's terminal line — the
+same dict the ``job`` verb returns — down it, after the journal write
+and after the ``job_done``/``job_failed`` and ``repair_*`` events, so
+a trace read as soon as the line arrives already holds them. Store
+hits answered inside ``submit`` are not sent: their ``submit`` reply
+is already terminal. The coordinator's listener thread reads the
+notify pipe. Pushes get their own pipe because the RPC pipe is strict
+request/response: only the caller holding the shard's lock reads it,
+so a push sent there would need a reader thread to sort every reply
+from every push.
 
 Failures inside a handler never kill the loop: they come back as
 ``{"ok": False, "error": <type name>, "message": ...}`` and the
@@ -53,6 +73,7 @@ import contextlib
 import multiprocessing as mp
 import os
 import signal
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -141,8 +162,23 @@ def _handle(service, verb: str, payload: Dict[str, Any]) -> Dict[str, Any]:
     raise ReproError(f"unknown shard RPC verb {verb!r}")
 
 
-def shard_main(config: ShardConfig, conn) -> None:
-    """Child-process entry point: serve RPCs until ``stop`` or EOF."""
+def _pusher(notify):
+    """The service's terminal hook: send each finished job's line."""
+    lock = threading.Lock()  # the worker threads share the pipe
+
+    def push(job) -> None:
+        with lock, contextlib.suppress(OSError):  # coordinator gone
+            notify.send(job.to_line())
+
+    return push
+
+
+def shard_main(config: ShardConfig, conn, notify) -> None:
+    """Child-process entry point: serve RPCs until ``stop`` or EOF.
+
+    ``conn`` is the RPC pipe; ``notify`` is the write end of the notify
+    pipe that carries each terminal job line.
+    """
     # The coordinator owns signal-driven shutdown and talks to shards
     # over the pipe; a terminal Ctrl-C is delivered to the whole
     # foreground process group, and a shard that died on it would turn
@@ -178,6 +214,7 @@ def shard_main(config: ShardConfig, conn) -> None:
         if tracer is not None:
             stack.enter_context(use_tracer(tracer))
         service = build_service(config)
+        service.on_terminal = _pusher(notify)
         service.start()
         conn.send({"ok": True, "up": True, "pid": os.getpid(),
                    "index": config.index,

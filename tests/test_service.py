@@ -987,3 +987,42 @@ def test_service_stats_break_down_tenants(tmp_path):
     replayed = replay_journal(tmp_path / "j.jsonl").jobs
     assert replayed[ids[0]].tenant == "alice"
     assert replayed[ids[1]].priority == 1
+
+
+def test_service_evicts_parsed_specs_of_terminal_jobs(tmp_path):
+    """The parsed-spec cache holds only jobs still to run: queued jobs,
+    a store hit at admission and a job that fails every attempt all
+    leave it, and a finished job's spec is re-parsed on demand."""
+    from repro.sim.faults import stuck_closed
+
+    specs = [small_spec(s) for s in range(3)]
+    store = tmp_path / "store"
+    with SynthesisService(tmp_path / "warm.jsonl", workers=1, options=OPTS,
+                          store=str(store)) as warm:
+        warm.wait(warm.submit(specs[0]), timeout=60)
+    doomed = SynthesisOptions(time_limit=31, on_error="capture")
+    with install_faulty_backend(
+            "doomed", plan=FaultPlan(schedule=["crash", "crash"])):
+        with SynthesisService(tmp_path / "j.jsonl", workers=1, options=OPTS,
+                              backends=["doomed"], max_attempts=2,
+                              backoff=Backoff(base=0.01, max_delay=0.02),
+                              breaker_threshold=10,
+                              store=str(store)) as service:
+            # runs alone first, so both scripted crashes hit it; its
+            # own options keep its id apart from the queued specs[1]
+            failed = service.wait(service.submit(specs[1], doomed),
+                                  timeout=60)
+            hit = service.submit(specs[0])
+            queued = [service.submit(spec) for spec in specs[1:]]
+            records = [service.wait(job_id, timeout=60)
+                       for job_id in [hit] + queued]
+            assert failed.state == "failed"
+            assert records[0].attempts == 0  # answered at admission
+            assert [r.state for r in records] == ["done"] * 3
+            assert service._specs == {}
+            seg = next(k for k in sorted(specs[1].switch.segments)
+                       if not specs[1].switch.is_pin(k[0])
+                       and not specs[1].switch.is_pin(k[1]))
+            repair = service.submit_repair(queued[0], [stuck_closed(*seg)])
+            assert service.wait(repair, timeout=60).state == "done"
+            assert service._specs == {}

@@ -7,6 +7,8 @@ suite's cost is process startup, not solving.
 """
 
 import json
+import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -21,12 +23,14 @@ from repro.service import (
     HTTPServiceError,
     ServiceHTTPServer,
     ShardCoordinator,
+    ShardError,
     fetch_job,
     replay_journal,
     submit_job,
     validate_journal,
     wait_job,
 )
+from repro.service.journal import TERMINAL_STATES
 
 OPTS = {"time_limit": 30}
 
@@ -34,6 +38,13 @@ OPTS = {"time_limit": 30}
 def small_spec(seed=0):
     return generate_case(seed=seed, switch_size=8, n_flows=2, n_inlets=2,
                          n_conflicts=0, binding=BindingPolicy.FIXED)
+
+
+def blocker_spec():
+    """A deliberately heavier case that keeps one worker busy for the
+    whole solve time limit."""
+    return generate_case(seed=9, switch_size=12, n_flows=6, n_inlets=4,
+                         n_conflicts=2, binding=BindingPolicy.UNFIXED)
 
 
 def platform(tmp_path, **kwargs):
@@ -191,10 +202,9 @@ def test_http_unknown_job_and_route_are_404(tmp_path):
 
 def test_http_tenant_quota_sheds_with_429(tmp_path):
     """One tenant at quota gets 429; the shed job is never journaled."""
-    # a deliberately heavier case keeps the single worker busy while
-    # the backlog builds up behind it
-    blocker = generate_case(seed=9, switch_size=12, n_flows=6, n_inlets=4,
-                            n_conflicts=2, binding=BindingPolicy.UNFIXED)
+    # the blocker keeps the single worker busy while the backlog
+    # builds up behind it
+    blocker = blocker_spec()
     queued = [small_spec(s) for s in range(2)]
     with platform(tmp_path, shards=1, workers=1,
                   options={"time_limit": 8},
@@ -234,8 +244,7 @@ def test_http_long_poll_returns_terminal_state(tmp_path):
 def test_coordinator_surfaces_admission_error_directly(tmp_path):
     """Library callers (no HTTP) get the same AdmissionError a local
     service would raise, propagated across the process boundary."""
-    blocker = generate_case(seed=9, switch_size=12, n_flows=6, n_inlets=4,
-                            n_conflicts=2, binding=BindingPolicy.UNFIXED)
+    blocker = blocker_spec()
     with platform(tmp_path, shards=1, workers=1,
                   options={"time_limit": 8}, tenant_quota=1) as coord:
         coord.submit(spec_to_dict(blocker))
@@ -243,3 +252,145 @@ def test_coordinator_surfaces_admission_error_directly(tmp_path):
         coord.submit(spec_to_dict(small_spec(0)), tenant="alice")
         with pytest.raises(AdmissionError, match="quota"):
             coord.submit(spec_to_dict(small_spec(1)), tenant="alice")
+
+
+# ----------------------------------------------------------------------
+# pushed completion: wait sleeps until the shard pushes the job's line
+# ----------------------------------------------------------------------
+def same_line(a, b):
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_wait_sleeps_on_the_push_instead_of_polling(tmp_path):
+    with platform(tmp_path, shards=1, options={"time_limit": 2}) as coord:
+        job = coord.submit(spec_to_dict(blocker_spec()))
+        verbs = []
+        call = coord._call
+
+        def counting_call(index, verb, payload):
+            verbs.append(verb)
+            return call(index, verb, payload)
+
+        coord._call = counting_call
+        final = coord.wait(job["id"], timeout=120)
+        assert final["state"] in TERMINAL_STATES
+        # one read before sleeping; a 50 ms poll would make dozens
+        assert verbs.count("job") <= 3, verbs.count("job")
+
+
+def test_wait_returns_the_journaled_line_with_a_complete_trace(tmp_path):
+    specs = [small_spec(s) for s in range(4)]
+    with platform(tmp_path) as coord:
+        with ServiceHTTPServer(coord) as server:
+            ids = []
+            for index, spec in enumerate(specs):
+                # every wait starts right after its submission, so it
+                # sleeps until the push rather than reading a done job
+                if index % 2:
+                    job_id = submit_job(server.url, spec_to_dict(spec))["id"]
+                    final = wait_job(server.url, job_id, timeout=180)
+                    assert final == fetch_job(server.url, job_id)
+                else:
+                    job_id = coord.submit(spec_to_dict(spec))["id"]
+                    final = coord.wait(job_id, timeout=180)
+                assert final["state"] == "done"
+                assert same_line(final, coord.job(job_id))
+                # the push follows the shard's job_done event, so the
+                # trace read straight after the wait already holds it
+                events = {r["name"] for r in coord.job_trace(job_id)
+                          if r["type"] == "event"}
+                assert "job_done" in events
+                ids.append(job_id)
+            assert {coord.route(i) for i in ids} == {0, 1}
+
+
+def test_wait_survives_shard_sigkill_with_one_terminal_line(tmp_path):
+    with platform(tmp_path, shards=1, options={"time_limit": 2}) as coord:
+        job_id = coord.submit(spec_to_dict(blocker_spec()))["id"]
+        lines, errors = [], []
+
+        def waiter():
+            try:
+                lines.append(coord.wait(job_id, timeout=180))
+            except Exception as exc:  # fails the assertion below
+                errors.append(exc)
+
+        thread = threading.Thread(target=waiter)
+        thread.start()
+        time.sleep(0.5)
+        assert coord.kill_shard(0) is not None
+        thread.join(timeout=200)
+        assert not thread.is_alive()
+        assert errors == []
+        assert len(lines) == 1
+        assert lines[0]["state"] in TERMINAL_STATES
+        assert same_line(lines[0], coord.job(job_id))
+        assert coord.stats()["restarts"] >= 1
+    counts = validate_journal(tmp_path / "platform" / "shard-0.jsonl")
+    assert sum(counts.values()) == 1, counts
+
+
+def test_stop_releases_blocked_waiters(tmp_path):
+    coord = platform(tmp_path, shards=1, options={"time_limit": 8})
+    coord.start()
+    try:
+        job_id = coord.submit(spec_to_dict(blocker_spec()))["id"]
+        outcome = []
+
+        def waiter():
+            try:
+                result = coord.wait(job_id, timeout=120)
+            except ShardError as exc:
+                result = exc
+            outcome.append((time.monotonic(), result))
+
+        thread = threading.Thread(target=waiter, daemon=True)
+        thread.start()
+        time.sleep(0.5)
+        stopped_at = time.monotonic()
+        coord.stop(drain=False, deadline=1.0)
+        thread.join(timeout=15)
+        assert not thread.is_alive()
+        assert len(outcome) == 1
+        ended_at, result = outcome[0]
+        assert ended_at - stopped_at < 15
+        assert isinstance(result, ShardError) \
+            or result["state"] in TERMINAL_STATES
+    finally:
+        coord.stop()
+
+
+def test_waiter_state_is_released_after_every_wait(tmp_path):
+    """Waiters racing on one job, on several jobs and past a deadline
+    all get their job's line and leave the waiter maps empty."""
+    specs = [small_spec(s) for s in range(3)]
+    with platform(tmp_path, shards=1) as coord:
+        # the blocker holds the only worker, so every wait below sleeps
+        slow = coord.submit(spec_to_dict(blocker_spec()),
+                            {"time_limit": 2})["id"]
+        ids = [coord.submit(spec_to_dict(s))["id"] for s in specs]
+        assert coord.wait(slow, timeout=0.2)["state"] not in TERMINAL_STATES
+        targets = [slow, slow] + ids * 2  # more waiters than cores
+        finals = {}
+
+        def waiter(key, job_id):
+            finals[key] = coord.wait(job_id, timeout=180)
+
+        threads = [threading.Thread(target=waiter, args=(key, job_id))
+                   for key, job_id in enumerate(targets)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=200)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(finals) == list(range(len(targets)))
+        for key, job_id in enumerate(targets):
+            assert finals[key]["state"] in TERMINAL_STATES
+            assert same_line(finals[key], coord.job(job_id))
+        assert coord._waiters == {}
+        assert coord._pushed == {}
