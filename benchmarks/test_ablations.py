@@ -4,8 +4,8 @@
   indicator encoding — identical optima, different solve times;
 * node policy: the paper's major-node set vs. all intersections;
 * conflict form: per-pair vs. the thesis' literal aggregate sum;
-* solver backends: HiGHS vs. our branch-and-bound vs. backtracking on
-  an identical small model;
+* solvers: HiGHS vs. our branch-and-bound on an identical small model,
+  vs. the model-free enumerator that never builds the model;
 * exact synthesis vs. the greedy heuristic.
 """
 
@@ -23,6 +23,7 @@ from repro.core import (
     synthesize,
     synthesize_greedy,
 )
+from repro.testing import brute_force
 
 _rows = []
 
@@ -94,20 +95,24 @@ def test_ablation_conflict_form(benchmark, form):
                   "status": status})
 
 
-@pytest.mark.parametrize("backend", ["highs", "branch_bound", "backtrack"])
-def test_ablation_solver_backends(benchmark, backend):
-    """All three exact backends agree on a small fixed-binding case."""
+@pytest.mark.parametrize("solver", ["highs", "branch_bound", "brute_force"])
+def test_ablation_solver_backends(benchmark, solver):
+    """Both exact backends and the enumerator agree on a small
+    fixed-binding case."""
     spec = generate_case(seed=5, switch_size=8, n_flows=2, n_inlets=2,
                          n_conflicts=1, binding=BindingPolicy.FIXED)
-    result = run_once(benchmark, synthesize, spec,
-                      bench_options(backend=backend, time_limit=120))
-    assert result.status is SynthesisStatus.OPTIMAL, backend
-    _rows.append({"ablation": f"backend={backend}",
+    if solver == "brute_force":
+        result = run_once(benchmark, brute_force, spec)
+    else:
+        result = run_once(benchmark, synthesize, spec,
+                          bench_options(backend=solver, time_limit=120))
+    assert result.status is SynthesisStatus.OPTIMAL, solver
+    _rows.append({"ablation": f"solver={solver}",
                   "objective": round(result.objective, 3),
                   "T(s)": round(result.runtime, 3)})
-    seen = [r for r in _rows if r["ablation"].startswith("backend=")]
+    seen = [r for r in _rows if r["ablation"].startswith("solver=")]
     objectives = {r["objective"] for r in seen}
-    assert len(objectives) == 1, f"backends disagree: {seen}"
+    assert len(objectives) == 1, f"solvers disagree: {seen}"
 
 
 @pytest.mark.parametrize("slack", [0.0, 2.0], ids=["shortest-only", "slack-2mm"])

@@ -85,7 +85,7 @@ def test_micro_synthesis_model_build(benchmark):
     assert built.model.num_vars > 100
 
 
-@pytest.mark.parametrize("backend", ["highs", "branch_bound", "backtrack"])
+@pytest.mark.parametrize("backend", ["highs", "branch_bound"])
 def test_micro_small_solve(benchmark, backend):
     def solve():
         m = Model()

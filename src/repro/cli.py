@@ -29,6 +29,7 @@ from repro.cases import CASE_REGISTRY
 from repro.core import BindingPolicy, SwitchSpec, SynthesisOptions, synthesize
 from repro.errors import ReproError
 from repro.io import load_spec, save_result, save_spec
+from repro.opt.solvers import BUILTIN_BACKENDS
 from repro.render import render_result, render_switch, save_svg
 from repro.switches import CrossbarSwitch
 
@@ -700,6 +701,10 @@ def cmd_obs_timeline(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``--backend`` choices: the registry's built-in names plus ``auto``.
+BACKEND_CHOICES = ("auto",) + BUILTIN_BACKENDS
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -724,9 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("case", help="registry case name or path to a JSON spec")
     p.add_argument("--policy", choices=[b.value for b in BindingPolicy],
                    help="binding policy (registry cases)")
-    p.add_argument("--backend", default="auto",
-                   choices=["auto", "highs", "branch_bound", "parallel_bb",
-                            "backtrack", "portfolio"])
+    p.add_argument("--backend", default="auto", choices=BACKEND_CHOICES)
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes for --backend parallel_bb "
                         "(default: CPU count, capped at 4)")
@@ -771,9 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "blocked_segment, short open/closed/blocked; "
                         "@step delays the onset mid-campaign)")
     p.add_argument("--policy", choices=[b.value for b in BindingPolicy])
-    p.add_argument("--backend", default="auto",
-                   choices=["auto", "highs", "branch_bound", "parallel_bb",
-                            "backtrack", "portfolio"])
+    p.add_argument("--backend", default="auto", choices=BACKEND_CHOICES)
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes for --backend parallel_bb")
     p.add_argument("--time-limit", type=float, default=120.0)

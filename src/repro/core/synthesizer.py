@@ -54,7 +54,7 @@ from repro.errors import ReproError, VerificationError
 from repro.obs.trace import Tracer, current_tracer, obs_event, use_tracer
 from repro.opt import SolveStatus
 from repro.opt.incremental import SolveContext
-from repro.opt.solvers import resolve_backend_name
+from repro.opt.solvers import check_backend_name, resolve_backend_name
 from repro.perf import PerfRecorder
 from repro.switches.paths import PathCatalog, enumerate_paths
 from repro.switches.reduce import reduce_switch
@@ -63,7 +63,7 @@ from repro.switches.reduce import reduce_switch
 #: milp) has no incumbent-injection hook, so computing one for it would
 #: be wasted work. Checked against the *base* name, so worker-count
 #: specs like ``"parallel_bb:4"`` qualify too.
-_WARM_BACKENDS = {"branch_bound", "parallel_bb", "portfolio", "backtrack"}
+_WARM_BACKENDS = {"branch_bound", "parallel_bb"}
 
 #: Valid values of :attr:`SynthesisOptions.on_error`.
 ERROR_POLICIES = ("raise", "capture", "degrade")
@@ -209,6 +209,9 @@ def synthesize(spec: SwitchSpec,
 
     ``options.time_limit`` bounds the *whole* pipeline (see the module
     docstring), and ``options.on_error`` selects the failure policy.
+    An unknown ``options.backend`` raises :class:`~repro.errors.SolverError`
+    under every policy: a misspelt name is a caller error, not a solver
+    failure to degrade from.
 
     A persistent :class:`repro.store.Store` (``options.store``, or the
     ambient one unless ``options.cache`` is False) short-circuits the
@@ -224,6 +227,7 @@ def synthesize(spec: SwitchSpec,
             f"unknown on_error policy {options.on_error!r}; "
             f"expected one of {ERROR_POLICIES}"
         )
+    check_backend_name(options.backend)
     store = _resolve_store(options)
     start = time.perf_counter()
     deadline = Deadline(options.time_limit)

@@ -18,7 +18,7 @@ def main(argv=None) -> int:
                         help="seconds per solver call where applicable")
     parser.add_argument("--backend", default=None,
                         help="solver backend spec for every synthesis call "
-                             "(e.g. portfolio, parallel_bb, parallel_bb:4)")
+                             "(e.g. branch_bound, parallel_bb, parallel_bb:4)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes for the parallel_bb backend "
                              "(shorthand for --backend parallel_bb:N)")

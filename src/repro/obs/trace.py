@@ -8,12 +8,12 @@ append-only buffer:
   :meth:`repro.perf.record.PerfRecorder.phase` automatically opens a
   span on the installed tracer, so the synthesis pipeline
   (catalog → build → … → verify), ``Model.solve`` sub-phases and the
-  portfolio members all appear in one tree without any call-site
-  changes.
+  ``parallel_bb`` worker spans all appear in one tree without any
+  call-site changes.
 * **events** — typed point-in-time records from the search internals:
   ``incumbent`` (objective + wall time), ``bound``, ``cut_round``,
   ``progress``, ``deadline``, ``degrade``, ``fault_injected``,
-  ``race_winner``, …  Producers attach arbitrary JSON-compatible
+  ``cache_hit``, …  Producers attach arbitrary JSON-compatible
   attributes.
 
 **Cost model.** With no tracer installed (the default), every
@@ -30,11 +30,11 @@ Timestamps are seconds since tracer creation from
 process-wide sequence number so equal-clock records keep their order.
 
 Threading: the span stack is thread-local, so concurrent producers
-(the portfolio race) nest correctly within their own thread; a member
-thread links to the submitting thread's span via an explicit
-``parent=`` id. The installed tracer itself is a plain module global —
-visible from worker threads, never inherited by worker *processes*
-(each batch worker installs its own).
+(service worker threads) nest correctly within their own thread; a span
+can link to another thread's span, or to a coordinator span it did not
+open, via an explicit ``parent=`` id. The installed tracer itself is a
+plain module global — visible from worker threads, never inherited by
+worker *processes* (each batch worker installs its own).
 """
 
 from __future__ import annotations
@@ -63,8 +63,6 @@ KNOWN_EVENTS = (
     "deadline",         # where — a wall-clock budget ran out
     "degrade",          # reason — the degradation ladder stepped down
     "fault_injected",   # kind, solve — repro.testing fired a planned fault
-    "race_winner",      # member — portfolio race settled
-    "member_failed",    # member, reason — a portfolio racer died
     "cache_hit",        # kind — a memoized artifact was reused
     "solve_result",     # status, objective — one Model.solve finished
     # -- repro.service job lifecycle ------------------------------------
@@ -110,8 +108,8 @@ class Tracer:
         self._foreign: List[Dict[str, Any]] = []
         # Spans begun but not yet ended (any thread); lets a snapshot
         # taken mid-run close them synthetically so every exported
-        # stream is balanced (a cancelled portfolio loser may still be
-        # inside its span when the winner's trace is written).
+        # stream is balanced (another thread may still be inside its
+        # span when the trace is written).
         self._open: Dict[int, Dict[str, Any]] = {}
 
     # -- internals -----------------------------------------------------
@@ -207,9 +205,9 @@ class Tracer:
              **attrs: Any) -> Iterator[int]:
         """Open a span; yields its id for explicit cross-thread linking.
 
-        ``parent`` overrides the implicit thread-local parent — the
-        portfolio uses this to hang member-thread spans under the
-        submitting thread's ``solve`` span.
+        ``parent`` overrides the implicit thread-local parent —
+        ``parallel_bb`` uses this to hang its ``bb_worker:<i>`` spans on
+        its coordinator span.
         """
         span_id = next(_ids)
         stack = self._stack()
@@ -268,8 +266,8 @@ class Tracer:
     def records(self, with_metrics: bool = True) -> List[Dict[str, Any]]:
         """A snapshot of the buffer, closed and ready for export.
 
-        Spans still open at snapshot time (e.g. a cancelled portfolio
-        loser still unwinding) get a synthetic ``span_end`` marked
+        Spans still open at snapshot time (e.g. a job still running on
+        another thread) get a synthetic ``span_end`` marked
         ``truncated`` — innermost first — so the stream is always
         balanced. With ``with_metrics`` one trailing ``metric`` record
         per registered instrument is appended.

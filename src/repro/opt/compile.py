@@ -1,7 +1,7 @@
 """Sparse model compilation: constraints to matrix form, built once.
 
 Historically every consumer of a :class:`~repro.opt.model.Model` —
-presolve, the HiGHS backend, branch-and-bound's ``StandardForm`` —
+presolve, the HiGHS backend, branch-and-bound's dense standard form —
 re-flattened the per-constraint term dictionaries into arrays on every
 call. On the synthesis models (thousands of constraints, tens of
 thousands of nonzeros) that Python-level churn was paid three or four
@@ -152,8 +152,8 @@ class CompiledModel:
                                   sparse.csr_matrix, np.ndarray]:
         """``(A_ub, b_ub, A_eq, b_eq)`` with GE rows negated into <=.
 
-        Row order matches the historical ``StandardForm``: LE and GE
-        rows interleaved in model order first, then EQ rows.
+        Row order: LE and GE rows interleaved in model order first, then
+        EQ rows.
         """
         if self._split is None:
             ineq = self.senses != SENSE_EQ
@@ -170,7 +170,7 @@ class CompiledModel:
         return self._split
 
     # ------------------------------------------------------------------
-    # reporting helpers (mirror the historical StandardForm API)
+    # reporting helpers
     # ------------------------------------------------------------------
     def report_objective(self, min_value: float) -> float:
         """Convert an internal minimization value to the user objective."""

@@ -381,7 +381,7 @@ class SolveContext:
     * the built model — and through it the compiled sparse arrays and
       the clique-cut pool, both cached on the model objects;
     * the previous optimum as a warm-start incumbent for backends that
-      accept one (branch-and-bound, portfolio).
+      accept one (``branch_bound`` and ``parallel_bb``).
 
     The context stores plain data (name-keyed value dicts); consumers
     decide how to map it onto their model. ``stats`` counts hits and

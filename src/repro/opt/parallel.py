@@ -159,19 +159,18 @@ class SubtreeExplorer:
                  node_budget: int = TASK_NODE_BUDGET,
                  mip_gap: float = 1e-9,
                  deadline: Optional[Deadline] = None,
-                 cancel_event=None,
                  shared_best=None,
                  eager: bool = False) -> Dict[str, Any]:
         """Explore the subtree rooted at ``chain``/``path``.
 
         Deterministic given ``(form, seed, chain, path, incumbent_val,
-        node_budget)``. The deadline and ``cancel_event`` only stop the
-        task early, at a node boundary: the node just popped goes back
-        with the other open nodes as a leftover, so a stopped task never
-        looks finished. ``shared_best`` (anything with a ``value``
-        attribute) is the best objective any task has found so far: a
-        task announces an incumbent only when it beats that value, and
-        prunes against it only in eager mode.
+        node_budget)``. The deadline only stops the task early, at a node
+        boundary: the node just popped goes back with the other open
+        nodes as a leftover, so a stopped task never looks finished.
+        ``shared_best`` (anything with a ``value`` attribute) is the best
+        objective any task has found so far: a task announces an
+        incumbent only when it beats that value, and prunes against it
+        only in eager mode.
         """
         lp = self.lp
         form = self.form
@@ -245,8 +244,7 @@ class SubtreeExplorer:
             if bound >= cutoff():
                 continue
             if (nodes >= node_budget
-                    or (deadline is not None and deadline.expired())
-                    or (cancel_event is not None and cancel_event.is_set())):
+                    or (deadline is not None and deadline.expired())):
                 leftovers.append((bound, pth, chn))
                 leftovers.extend((b, p, c) for b, _, p, c, _, _ in heap)
                 break
@@ -369,8 +367,8 @@ def pick_context(name: Optional[str] = None) -> mp.context.BaseContext:
     """The multiprocessing context for the worker pool.
 
     ``fork`` gives by far the cheapest start (the compiled model and
-    scipy are already in memory) but is unsafe under live threads
-    (portfolio races members on threads), so it is only auto-picked in
+    scipy are already in memory) but is unsafe under live threads (a
+    service worker thread, say), so it is only auto-picked in
     single-threaded processes. ``REPRO_PARALLEL_BB_CTX`` overrides.
     """
     name = name or os.environ.get(CTX_ENV)
@@ -501,13 +499,6 @@ class WorkerPool:
             seat.proc = None
         self._seats = []
 
-    def abort(self) -> None:
-        """Hard-stop every worker (cancelled mid-round)."""
-        for seat in self._seats:
-            if seat.proc is not None and seat.proc.is_alive():
-                seat.proc.terminate()
-        self.stop()
-
     # -- death handling ------------------------------------------------
     def _on_death(self, seat: _Seat,
                   pending: "deque[Dict[str, Any]]") -> None:
@@ -541,9 +532,8 @@ class WorkerPool:
 
     # -- rounds --------------------------------------------------------
     def run_round(self, dispatches: Sequence[Dict[str, Any]], *,
-                  kill_wid: Optional[int] = None,
-                  cancel_event=None) -> Optional[List[Dict[str, Any]]]:
-        """Run one round of subtree tasks; None means cancelled.
+                  kill_wid: Optional[int] = None) -> List[Dict[str, Any]]:
+        """Run one round of subtree tasks and return their results.
 
         ``kill_wid`` (fault injection) SIGKILLs that seat once it holds
         a task, exercising the re-queue + respawn path deterministically
@@ -554,9 +544,12 @@ class WorkerPool:
         want = len(pending)
         kill_pending = kill_wid is not None
         while len(results) < want:
-            if cancel_event is not None and cancel_event.is_set():
-                self.abort()
-                return None
+            # A worker can also die idle, after its last result reached
+            # the pipe: respawn it here, or the search would finish on
+            # fewer seats. A seat whose respawn failed stays retired.
+            for seat in self._seats:
+                if seat.proc is not None and not seat.proc.is_alive():
+                    self._on_death(seat, pending)
             alive = [s for s in self._seats if s.alive]
             if not alive:
                 # Every seat lost and respawn failed: finish the round

@@ -11,10 +11,10 @@ Three classic, always-safe reductions, iterated to a fixed point:
    prove infeasibility immediately.
 
 The pass returns a reduced model plus the set of fixed assignments; it
-never changes the feasible set. It is used by the built-in
-branch-and-bound and backtracking backends (HiGHS has its own presolve)
-and is directly useful on the synthesis models, where the coupling
-equalities fix large blocks of ``x`` under the fixed binding policy.
+never changes the feasible set. All three built-in backends run it
+first (HiGHS then adds its own presolve), and it is directly useful on
+the synthesis models, where the coupling equalities fix large blocks of
+``x`` under the fixed binding policy.
 
 The round loop runs on the model's cached sparse compilation
 (:mod:`repro.opt.compile`): row activity bounds are two sparse

@@ -1,6 +1,6 @@
 """Solver backend registry.
 
-Four exact backends are provided:
+Three exact backends are provided:
 
 * ``"highs"`` — scipy's HiGHS MILP interface (default when available);
 * ``"branch_bound"`` — our own best-first branch-and-bound over
@@ -8,14 +8,11 @@ Four exact backends are provided:
   one branch-and-bound engine (:mod:`repro.opt.parallel`);
 * ``"parallel_bb"`` — the same engine spread over N worker processes
   with warm per-worker LPs and deterministic round-based coordination;
-  the spec form ``"parallel_bb:N"`` pins the worker count;
-* ``"backtrack"`` — a pure-Python exhaustive CP search for small
-  all-integer models (numerics-free oracle).
-
-A meta-backend, ``"portfolio"``, races members on threads and returns
-the first conclusive result (see :mod:`repro.opt.solvers.portfolio`).
+  the spec form ``"parallel_bb:N"`` pins the worker count.
 
 ``"auto"`` resolves to HiGHS when scipy provides it, else branch-and-bound.
+The independent check on all of them is not a backend: it is the
+model-free enumerator :func:`repro.testing.oracle.brute_force`.
 """
 
 from __future__ import annotations
@@ -23,13 +20,11 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import SolverError
-from repro.opt.solvers.backtrack import BacktrackBackend
-from repro.opt.solvers.base import SolverBackend, merge_counters
+from repro.opt.solvers.base import SolverBackend
 from repro.opt.solvers.branch_bound import BranchBoundBackend
 
 #: Built-in backend names (plus the "auto" alias) — not overridable.
-BUILTIN_BACKENDS = ("highs", "branch_bound", "parallel_bb", "backtrack",
-                    "portfolio")
+BUILTIN_BACKENDS = ("highs", "branch_bound", "parallel_bb")
 
 #: User-registered backend factories (see :func:`register_backend`).
 _CUSTOM_BACKENDS: Dict[str, Callable[[], SolverBackend]] = {}
@@ -76,12 +71,12 @@ def register_backend(name: str, factory: Callable[[], SolverBackend],
     """Register a custom backend factory under ``name``.
 
     The name then works anywhere a built-in backend name does —
-    ``Model.solve(backend=...)``, ``SynthesisOptions.backend``,
-    portfolio member lists. Built-in names (and ``"auto"``) cannot be
-    shadowed; re-registering an existing custom name requires
-    ``replace=True``. The primary consumer is the fault-injection
-    harness (:mod:`repro.testing.faultinject`), which wraps a real
-    backend in a crash/timeout/corruption layer.
+    ``Model.solve(backend=...)``, ``SynthesisOptions.backend``. Built-in
+    names (and ``"auto"``) cannot be shadowed; re-registering an
+    existing custom name requires ``replace=True``. The primary
+    consumer is the fault-injection harness
+    (:mod:`repro.testing.faultinject`), which wraps a real backend in a
+    crash/timeout/corruption layer.
     """
     if name == "auto" or name in BUILTIN_BACKENDS \
             or name.partition(":")[0] in BUILTIN_BACKENDS:
@@ -97,29 +92,40 @@ def unregister_backend(name: str) -> None:
     _CUSTOM_BACKENDS.pop(name, None)
 
 
-def get_backend(name: str = "auto") -> SolverBackend:
-    """Instantiate a solver backend by name."""
+def _backend_factory(name: str) -> Callable[[], SolverBackend]:
+    """The factory a backend name denotes; raises for an unknown name."""
     name = resolve_backend_name(name)
     if name in _CUSTOM_BACKENDS:
-        return _CUSTOM_BACKENDS[name]()
+        return _CUSTOM_BACKENDS[name]
     if name == "highs":
         from repro.opt.solvers.highs import HighsBackend
 
-        return HighsBackend()
+        return HighsBackend
     if name == "branch_bound":
-        return BranchBoundBackend()
+        return BranchBoundBackend
     base, workers = parse_backend_spec(name)
     if base == "parallel_bb":
         from repro.opt.solvers.parallel_bb import ParallelBranchBoundBackend
 
-        return ParallelBranchBoundBackend(workers)
-    if name == "backtrack":
-        return BacktrackBackend()
-    if name == "portfolio":
-        from repro.opt.solvers.portfolio import PortfolioBackend
+        return lambda: ParallelBranchBoundBackend(workers)
+    raise SolverError(
+        f"unknown solver backend {name!r}; expected 'auto', one of "
+        f"{', '.join(BUILTIN_BACKENDS)} (parallel_bb also as "
+        f"'parallel_bb:N') or a registered name")
 
-        return PortfolioBackend()
-    raise SolverError(f"unknown solver backend {name!r}")
+
+def check_backend_name(name: str) -> None:
+    """Raise :class:`SolverError` unless ``name`` denotes a backend.
+
+    Accepts exactly what :func:`get_backend` accepts, without
+    instantiating anything.
+    """
+    _backend_factory(name)
+
+
+def get_backend(name: str = "auto") -> SolverBackend:
+    """Instantiate a solver backend by name."""
+    return _backend_factory(name)()
 
 
 def available_backends() -> Dict[str, bool]:
@@ -128,14 +134,12 @@ def available_backends() -> Dict[str, bool]:
         "highs": _highs_available(),
         "branch_bound": True,
         "parallel_bb": True,
-        "backtrack": True,
-        "portfolio": True,
     }
     table.update({name: True for name in _CUSTOM_BACKENDS})
     return table
 
 
-__all__ = ["get_backend", "register_backend", "unregister_backend",
-           "resolve_backend_name", "parse_backend_spec",
-           "available_backends", "BUILTIN_BACKENDS", "SolverBackend",
-           "BranchBoundBackend", "BacktrackBackend", "merge_counters"]
+__all__ = ["get_backend", "check_backend_name", "register_backend",
+           "unregister_backend", "resolve_backend_name",
+           "parse_backend_spec", "available_backends", "BUILTIN_BACKENDS",
+           "SolverBackend", "BranchBoundBackend"]

@@ -1,10 +1,8 @@
-"""Common interface and utilities for MILP solver backends."""
+"""Common interface for MILP solver backends."""
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
-
-import numpy as np
+from typing import Optional
 
 from repro.opt.model import Model
 from repro.opt.result import Solution
@@ -30,68 +28,3 @@ class SolverBackend:
         warm_start=None,
     ) -> Solution:
         raise NotImplementedError
-
-
-def merge_counters(*counter_dicts: Mapping[str, object]) -> Dict[str, object]:
-    """Sum solver counters from several search loops into one dict.
-
-    Numeric values add; everything else (strings, and identity-like
-    values whose key ends in ``_hash``) keeps the first occurrence. This
-    is the aggregation rule shared by the multi-worker backends (one
-    counter dict per worker/round) and the portfolio's cross-member
-    roll-up — historically each assumed a single solver loop and simply
-    overwrote.
-    """
-    merged: Dict[str, object] = {}
-    for counters in counter_dicts:
-        for key, value in counters.items():
-            if (key.endswith("_hash") or isinstance(value, bool)
-                    or not isinstance(value, (int, float))):
-                merged.setdefault(key, value)
-            else:
-                merged[key] = merged.get(key, 0) + value  # type: ignore
-    return merged
-
-
-class StandardForm:
-    """A model flattened to dense matrix form.
-
-    ``minimize c @ x`` subject to ``A_ub @ x <= b_ub``,
-    ``A_eq @ x == b_eq``, ``lb <= x <= ub``, with ``integrality`` flags
-    (1 = integer, 0 = continuous). The objective is always stated as a
-    minimization; ``obj_sign`` records the flip needed to report the
-    original objective value, and ``obj_offset`` the constant term.
-
-    This is now a thin dense view over the cached sparse
-    :class:`~repro.opt.compile.CompiledModel`; backends that can consume
-    sparse matrices should use ``model.compiled()`` directly.
-    """
-
-    def __init__(self, model: Model) -> None:
-        compiled = model.compiled()
-        self.variables = compiled.variables
-        self.n = compiled.n
-        self.c = compiled.c
-        self.obj_offset = compiled.obj_offset
-        self.obj_sign = compiled.obj_sign
-
-        A_ub, b_ub, A_eq, b_eq = compiled.split_form()
-        self.A_ub = A_ub.toarray() if A_ub.shape[0] else np.zeros((0, compiled.n))
-        self.b_ub = b_ub
-        self.A_eq = A_eq.toarray() if A_eq.shape[0] else np.zeros((0, compiled.n))
-        self.b_eq = b_eq
-
-        self.lb = compiled.lb
-        self.ub = compiled.ub
-        self.integrality = compiled.integrality
-
-    def report_objective(self, min_value: float) -> float:
-        """Convert an internal minimization value to the user objective.
-
-        The sign flip applies only to the variable part (the constant
-        term was never negated when building ``c``).
-        """
-        return self.obj_sign * min_value + self.obj_offset
-
-    def solution_dict(self, x: np.ndarray) -> dict:
-        return {v: float(x[v.index]) for v in self.variables}

@@ -29,9 +29,8 @@ class BranchBoundBackend(ParallelBranchBoundBackend):
     name = "branch_bound"
 
     def __init__(self, max_nodes: int = 200_000, use_presolve: bool = True,
-                 use_cuts: bool = True, cancel_event=None) -> None:
+                 use_cuts: bool = True) -> None:
         # The root task's budget is the whole node budget, so the
         # driver never leaves its serial phase.
         super().__init__(1, max_nodes=max_nodes, use_presolve=use_presolve,
-                         use_cuts=use_cuts, root_nodes=max_nodes,
-                         cancel_event=cancel_event)
+                         use_cuts=use_cuts, root_nodes=max_nodes)

@@ -38,9 +38,6 @@ class HighsBackend(SolverBackend):
 
     name = "highs"
 
-    def __init__(self, use_presolve: bool = True) -> None:
-        self.use_presolve = use_presolve
-
     def solve(
         self,
         model: Model,
@@ -51,10 +48,9 @@ class HighsBackend(SolverBackend):
     ) -> Solution:
         # warm_start is accepted for interface parity but unused:
         # scipy's milp() has no incumbent-injection hook, and HiGHS's
-        # own presolve/heuristics find the same incumbents quickly. The
-        # portfolio backend exploits warm starts on HiGHS's behalf.
+        # own presolve/heuristics find the same incumbents quickly.
         start = time.perf_counter()
-        if self.use_presolve and model.num_vars and model.num_constraints:
+        if model.num_vars and model.num_constraints:
             from repro.opt.incremental import map_back_solution
             from repro.opt.presolve import presolve
 

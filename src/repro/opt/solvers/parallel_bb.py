@@ -26,10 +26,9 @@ budget, so the search is one in-process task and never reaches the
 rounds: that is the ``branch_bound`` backend
 (:mod:`repro.opt.solvers.branch_bound`).
 
-The deadline and the cancel event are checked at every node boundary
-of an in-process task and between rounds; a pool round polls the cancel
-event while it waits. ``max_nodes`` caps every phase-A task and stops
-the rounds once spent.
+The deadline is checked at every node boundary of a task and between
+rounds. ``max_nodes`` caps every phase-A task and stops the rounds once
+spent.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ class ParallelBranchBoundBackend(SolverBackend):
                  batch: int = DISPATCH_BATCH,
                  task_budget: int = TASK_NODE_BUDGET,
                  mp_context: Optional[str] = None,
-                 cancel_event=None, fault_plan=None) -> None:
+                 fault_plan=None) -> None:
         self.workers = workers if workers else default_workers()
         if self.workers < 1:
             self.workers = 1
@@ -90,10 +89,6 @@ class ParallelBranchBoundBackend(SolverBackend):
         self.batch = batch
         self.task_budget = task_budget
         self.mp_context = mp_context
-        #: Optional :class:`threading.Event`; when set, the search stops
-        #: at the next node boundary of an in-process task, between
-        #: rounds, or mid-round (used by the portfolio backend).
-        self.cancel_event = cancel_event
         #: Optional :class:`repro.testing.FaultPlan`; a ``"kill"`` draw
         #: SIGKILLs one busy worker that round (chaos testing).
         self.fault_plan = fault_plan
@@ -137,7 +132,6 @@ class ParallelBranchBoundBackend(SolverBackend):
         form = model.compiled()
         tracer = current_tracer()
         corr = current_correlation()
-        cancel = self.cancel_event
         # The root task holds the whole budget: one in-process task, no
         # pool, no rounds, and none of their telemetry.
         one_task = self.root_nodes >= self.max_nodes
@@ -179,9 +173,6 @@ class ParallelBranchBoundBackend(SolverBackend):
                     return math.inf
                 return incumbent_val - mip_gap * max(1.0, abs(incumbent_val))
 
-            def cancelled() -> bool:
-                return cancel is not None and cancel.is_set()
-
             def inline_run(task: Dict[str, Any]) -> Dict[str, Any]:
                 wire = task["deadline"]
                 return explorer.run_task(
@@ -190,7 +181,7 @@ class ParallelBranchBoundBackend(SolverBackend):
                     node_budget=task["budget"], mip_gap=task["mip_gap"],
                     deadline=(Deadline.from_wire(wire)
                               if wire is not None else None),
-                    cancel_event=cancel, shared_best=shared)
+                    shared_best=shared)
 
             pool: Optional[WorkerPool] = None
             if self.workers > 1 and not one_task:
@@ -234,8 +225,7 @@ class ParallelBranchBoundBackend(SolverBackend):
                     chain, path, incumbent_val=incumbent_val,
                     node_budget=min(self.root_nodes,
                                     self.max_nodes - nodes_total),
-                    mip_gap=mip_gap, deadline=deadline, cancel_event=cancel,
-                    shared_best=shared)
+                    mip_gap=mip_gap, deadline=deadline, shared_best=shared)
 
             def merge(results: List[Dict[str, Any]]) -> None:
                 # Tasks announce their own incumbents as they find them;
@@ -284,7 +274,7 @@ class ParallelBranchBoundBackend(SolverBackend):
             # cutoff is what keeps the parallel tree close to the
             # serial one. Pure function of the model: deterministic.
             phase_a_cap = min(max(4 * self.root_nodes, 64), self.max_nodes)
-            while (frontier and not deadline.expired() and not cancelled()
+            while (frontier and not deadline.expired()
                    and nodes_total < phase_a_cap
                    and (math.isinf(incumbent_val)
                         or len(frontier) < self.batch)):
@@ -301,9 +291,6 @@ class ParallelBranchBoundBackend(SolverBackend):
                         tracer.event("deadline", where=self.name,
                                      nodes=nodes_total,
                                      budget=deadline.limit)
-                    break
-                if cancelled():
-                    stopped = "cancelled"
                     break
                 if nodes_total >= self.max_nodes:
                     stopped = "node_limit"
@@ -337,13 +324,7 @@ class ParallelBranchBoundBackend(SolverBackend):
                     if (self.fault_plan is not None
                             and self.fault_plan.draw() == "kill"):
                         kill_wid = rounds - 1
-                    results = pool.run_round(dispatches, kill_wid=kill_wid,
-                                             cancel_event=cancel)
-                    if results is None:
-                        # The round's subtrees are lost with the pool;
-                        # the search is unfinished either way.
-                        stopped = "cancelled"
-                        break
+                    results = pool.run_round(dispatches, kill_wid=kill_wid)
                 else:
                     results = [inline_run(d) for d in dispatches]
                 merge(results)

@@ -128,10 +128,10 @@ _PATH_CACHE_MAX = 128
 _PATH_CACHE_LOCK = threading.Lock()
 
 # Counters live in a repro.obs metrics registry (not module-global
-# ints): portfolio members and service workers enumerate from several
-# threads at once, and instruments are the one shared-counter shape
-# the rest of the codebase already uses. All updates happen under
-# _PATH_CACHE_LOCK, so the counts are exact, not merely approximate.
+# ints): service workers enumerate from several threads at once, and
+# instruments are the one shared-counter shape the rest of the codebase
+# already uses. All updates happen under _PATH_CACHE_LOCK, so the
+# counts are exact, not merely approximate.
 _METRICS = None
 
 

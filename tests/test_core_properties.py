@@ -2,7 +2,8 @@
 
 Uses the artificial case generator and re-checks every invariant with
 the independent verifier plus a few oracle comparisons (exact vs greedy,
-exact vs backtracking solver on the same model).
+and exact synthesis on two backends vs the model-free enumerator
+:func:`repro.testing.brute_force`).
 """
 
 import pytest
@@ -18,6 +19,7 @@ from repro.core import (
     verify_result,
 )
 from repro.core.verify import verify_contamination_freedom, verify_schedule
+from repro.testing import brute_force
 
 FAST = SynthesisOptions(time_limit=30)
 
@@ -84,6 +86,29 @@ def test_unfixed_dominates_fixed(seed):
     assert res_u.status.solved
     if res_f.status.solved:
         assert res_u.objective <= res_f.objective + 1e-6
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=0, max_value=1),
+       st.sampled_from(list(BindingPolicy)))
+def test_exact_synthesis_matches_the_enumerator(seed, n_conflicts, binding):
+    """Both exact backends reach the optimum the enumerator finds without
+    the model: same status, same objective within 1e-6."""
+    def spec():
+        return generate_case(seed=seed, switch_size=8, n_flows=2,
+                             n_inlets=2, n_conflicts=n_conflicts,
+                             binding=binding)
+
+    expected = brute_force(spec())
+    for backend in ("highs", "branch_bound"):
+        result = synthesize(spec(), SynthesisOptions(
+            backend=backend, mip_gap=1e-9, time_limit=60, on_error="raise"))
+        assert result.status is expected.status, backend
+        if expected.status is SynthesisStatus.OPTIMAL:
+            assert result.objective == pytest.approx(
+                expected.objective, rel=1e-6), backend
 
 
 @settings(max_examples=8, deadline=None,

@@ -20,6 +20,7 @@ from repro.core import (
     verify_result,
 )
 from repro.switches import CrossbarSwitch
+from repro.testing import brute_force
 
 
 def fixed_spec(flows, conflicts=frozenset(), fixed=None, modules=None, **kw):
@@ -221,11 +222,13 @@ def test_aggregate_conflict_form_is_stricter():
         assert res_agg.objective >= res_pair.objective - 1e-6
 
 
-def test_backtrack_backend_on_tiny_case():
+def test_brute_force_matches_exact_synthesis_on_tiny_case():
     spec = fixed_spec([Flow(1, "src", "dst")], fixed={"src": "T1", "dst": "B1"})
-    res = synthesize(spec, SynthesisOptions(backend="backtrack"))
-    assert res.status is SynthesisStatus.OPTIMAL
-    assert res.flow_channel_length == pytest.approx(3.4)
+    oracle = brute_force(spec)
+    exact = synthesize(spec)
+    assert oracle.status is exact.status is SynthesisStatus.OPTIMAL
+    assert oracle.objective == pytest.approx(exact.objective)
+    assert oracle.flow_channel_length == pytest.approx(3.4)
 
 
 def test_branch_bound_backend_on_tiny_case():

@@ -1,67 +1,16 @@
-"""Determinism guards for the concurrent execution paths.
+"""Determinism guard for the batch runner's worker processes.
 
-The portfolio backend races two exact solvers and the batch runner can
-fan specs out over worker processes; neither may change *results*.
-Objective values and statuses must match the serial reference exactly —
-variable assignments may legitimately differ under alternative optima,
-so the contract is stated on objectives, not on assignments.
+The batch runner can fan specs out over worker processes; that may not
+change *results*. Objective values and statuses must match the serial
+reference exactly — variable assignments may legitimately differ under
+alternative optima, so the contract is stated on objectives, not on
+assignments. (The ``parallel_bb`` backend has its own, stricter
+contract in ``tests/test_parallel_bb.py``.)
 """
 
-import pytest
-
-from repro.cases import chip_sw1, suite_90
-from repro.core import BindingPolicy, SynthesisOptions, synthesize
+from repro.cases import suite_90
+from repro.core import SynthesisOptions
 from repro.experiments.batch import run_batch
-from repro.opt import Model, SolveStatus, quicksum
-
-
-def small_milp():
-    m = Model("det")
-    xs = [m.add_integer(f"x{i}", 0, 3) for i in range(4)]
-    m.add_constr(quicksum(xs) >= 5)
-    m.add_constr(xs[0] + 2 * xs[1] <= 4)
-    m.set_objective(quicksum((i + 1) * x for i, x in enumerate(xs)), "min")
-    return m
-
-
-def test_portfolio_matches_serial_backends():
-    reference = small_milp().solve(backend="highs")
-    bb = small_milp().solve(backend="branch_bound")
-    portfolio = small_milp().solve(backend="portfolio")
-    assert reference.status is SolveStatus.OPTIMAL
-    assert bb.status is reference.status
-    assert portfolio.status is reference.status
-    assert bb.objective == pytest.approx(reference.objective)
-    assert portfolio.objective == pytest.approx(reference.objective)
-    assert portfolio.solver.startswith("portfolio(")
-
-
-def test_portfolio_infeasible_matches():
-    def infeasible():
-        m = Model()
-        x = m.add_binary("x")
-        m.add_constr(x >= 1)
-        m.add_constr(x <= 0)
-        return m
-
-    assert infeasible().solve(backend="highs").status is SolveStatus.INFEASIBLE
-    assert infeasible().solve(backend="portfolio").status is SolveStatus.INFEASIBLE
-
-
-def test_portfolio_repeated_runs_are_stable():
-    objectives = {small_milp().solve(backend="portfolio").objective
-                  for _ in range(3)}
-    assert len(objectives) == 1
-
-
-def test_portfolio_synthesis_matches_default():
-    spec = chip_sw1(BindingPolicy.FIXED)
-    serial = synthesize(spec, SynthesisOptions())
-    raced = synthesize(chip_sw1(BindingPolicy.FIXED),
-                       SynthesisOptions(backend="portfolio"))
-    assert raced.status is serial.status
-    assert raced.objective == pytest.approx(serial.objective)
-    assert raced.flow_channel_length == pytest.approx(serial.flow_channel_length)
 
 
 def test_parallel_batch_matches_serial():

@@ -2,11 +2,13 @@
 
 Docs drift silently; these tests fail loudly instead. Every module path
 mentioned in DESIGN.md/README.md must import, every benchmark file the
-experiment index points at must exist, and the repository layout the
-README promises must be on disk.
+experiment index points at must exist, the repository layout the
+README promises must be on disk, and every backend name a doc passes
+must exist.
 """
 
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -76,3 +78,35 @@ def test_math_doc_references_real_symbols():
 
     for method in re.findall(r"SynthesisModelBuilder\.(_[a-z_]+)", text):
         assert hasattr(SynthesisModelBuilder, method), method
+
+
+def test_docs_name_only_real_backends():
+    """``backend="x"``, ``backends=["x", ...]``, ``--backend x`` and
+    ``--backends x,y`` in the docs all name a backend that exists."""
+    from repro.opt.solvers import BUILTIN_BACKENDS
+    from repro.testing import install_faulty_backend
+
+    faulty = inspect.signature(
+        install_faulty_backend).parameters["backend_name"].default
+    docs = [ROOT / name for name in ("README.md", "DESIGN.md",
+                                     "EXPERIMENTS.md")]
+    docs += sorted((ROOT / "docs").glob("*.md"))
+    found = []
+    for path in docs:
+        text = path.read_text(encoding="utf-8")
+        names = re.findall(r"backend=[\"']([^\"']*)[\"']", text)
+        for group in re.findall(r"backends=\[([^\]]*)\]", text):
+            names += re.findall(r"[\"']([^\"']*)[\"']", group)
+        for group in re.findall(r"--backends?[ =]([\w:,]+)", text):
+            names += group.split(",")
+        found += [(path.name, name) for name in names]
+    assert found
+
+    def known(name: str) -> bool:
+        base, sep, workers = name.partition(":")
+        if sep and not workers.isdigit():
+            return False
+        return name in ("auto", faulty) or base in BUILTIN_BACKENDS
+
+    unknown = [(doc, name) for doc, name in found if not known(name)]
+    assert not unknown, f"docs name unknown backends: {unknown}"

@@ -10,6 +10,7 @@ import pytest
 
 from repro.cases import generate_case
 from repro.core import (
+    ERROR_POLICIES,
     BindingPolicy,
     SynthesisOptions,
     SynthesisStatus,
@@ -23,6 +24,7 @@ from repro.errors import (
 )
 from repro.opt.solvers import (
     available_backends,
+    check_backend_name,
     get_backend,
     register_backend,
     unregister_backend,
@@ -196,45 +198,25 @@ def test_fixed_seed_fault_runs_are_reproducible():
 
 
 # ----------------------------------------------------------------------
-# portfolio failure accounting
+# backend names are checked before anything runs
 # ----------------------------------------------------------------------
-def build_small_model():
-    from repro.opt import Model, quicksum
-
-    model = Model("toy")
-    xs = [model.add_binary(f"b{i}") for i in range(4)]
-    model.add_constr(quicksum(xs) >= 2, "pick2")
-    model.set_objective(quicksum(xs), "min")
-    return model
-
-
-def test_portfolio_all_members_crash_lists_reasons():
-    from repro.opt.solvers.portfolio import PortfolioBackend
-
-    crash_a = FaultyBackend(inner="branch_bound",
-                            plan=FaultPlan(schedule=["crash"]))
-    crash_b = FaultyBackend(inner="backtrack",
-                            plan=FaultPlan(schedule=["crash"]))
-    port = PortfolioBackend(members=[crash_a, crash_b])
-    with pytest.raises(SolverError) as excinfo:
-        port.solve(build_small_model())
-    msg = str(excinfo.value)
-    assert "all 2 portfolio members failed" in msg
-    assert "InjectedFaultError" in msg
+@pytest.mark.parametrize("name", ["nope", "portfolio", "backtrack",
+                                  "parallel_bb:0"])
+def test_unknown_backend_name_raises_under_every_policy(name):
+    """A misspelt or deleted backend name is a caller error: it must not
+    degrade to the greedy heuristic or come back as an error row."""
+    for policy in ERROR_POLICIES:
+        with pytest.raises(SolverError):
+            synthesize(good_spec(), opts(policy, backend=name))
 
 
-def test_portfolio_survives_partial_crash_and_records_it():
-    from repro.opt.solvers.portfolio import PortfolioBackend
-
-    crasher = FaultyBackend(inner="branch_bound",
-                            plan=FaultPlan(schedule=["crash"]))
-    healthy = get_backend("backtrack")
-    port = PortfolioBackend(members=[crasher, healthy])
-    sol = port.solve(build_small_model())
-    assert sol.has_solution
-    assert sol.counters.get("portfolio_member_failures") == 1
-    failed = [k for k in sol.counters if k.startswith("member_failed_")]
-    assert len(failed) == 1
+def test_registered_and_builtin_names_pass_the_check():
+    for name in ("auto", "highs", "branch_bound", "parallel_bb",
+                 "parallel_bb:2"):
+        check_backend_name(name)
+    with install_faulty_backend():
+        result = synthesize(good_spec(), opts("raise"))
+    assert result.status is SynthesisStatus.OPTIMAL
 
 
 # ----------------------------------------------------------------------

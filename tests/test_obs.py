@@ -221,7 +221,7 @@ def test_fingerprints_are_stable_and_sensitive():
     assert case_fingerprint(spec) == case_fingerprint(chip_sw1(BindingPolicy.FIXED))
     assert case_fingerprint(spec) != case_fingerprint(chip_sw1(BindingPolicy.UNFIXED))
     a = SynthesisOptions(backend="highs")
-    b = SynthesisOptions(backend="backtrack")
+    b = SynthesisOptions(backend="branch_bound")
     assert config_fingerprint(a) == config_fingerprint(SynthesisOptions(backend="highs"))
     assert config_fingerprint(a) != config_fingerprint(b)
 
@@ -419,25 +419,6 @@ def test_tracing_does_not_change_results():
     assert traced.objective == plain.objective
     assert traced.binding == plain.binding
     assert traced.status == plain.status
-
-
-def test_traced_portfolio_links_members_to_race(tmp_path):
-    spec = chip_sw1(BindingPolicy.FIXED)
-    tracer = Tracer(spec.name)
-    result = synthesize(spec, SynthesisOptions(backend="portfolio",
-                                               trace=tracer))
-    assert result.status.solved
-    records = tracer.records()
-    validate_trace_records(records)
-    members = [r for r in records if r["type"] == "span_begin"
-               and r["name"].startswith("portfolio:")]
-    assert members
-    begun = {r["span"] for r in records if r["type"] == "span_begin"}
-    for m in members:
-        assert m["parent"] in begun
-    winners = [r for r in records
-               if r["type"] == "event" and r["name"] == "race_winner"]
-    assert winners and "member" in winners[-1]["attrs"]
 
 
 # ---------------------------------------------------------------------------

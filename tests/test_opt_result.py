@@ -1,11 +1,9 @@
-"""Coverage tests for solver result types and the standard form."""
+"""Coverage tests for solver result types."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.opt import LinExpr, Model, Solution, SolveStatus, VarType
-from repro.opt.solvers.base import StandardForm
+from repro.opt import Model, Solution, SolveStatus
 
 
 def test_status_has_solution_flags():
@@ -54,37 +52,6 @@ def test_solution_repr():
     assert "optimal" in text and "highs" in text
 
 
-# ----------------------------------------------------------------------
-# StandardForm
-# ----------------------------------------------------------------------
-def test_standard_form_matrices():
-    m = Model()
-    x = m.add_binary("x")
-    y = m.add_integer("y", 0, 4)
-    m.add_constr(x + 2 * y <= 5)
-    m.add_constr(x - y >= -1)
-    m.add_constr(x + y == 2)
-    m.set_objective(x + 3 * y, "min")
-    form = StandardForm(m)
-    assert form.A_ub.shape == (2, 2)   # LE row + flipped GE row
-    assert form.A_eq.shape == (1, 2)
-    assert form.b_eq[0] == pytest.approx(2)
-    # the GE row is negated into <= form
-    np.testing.assert_allclose(form.A_ub[1], [-1, 1])
-    assert form.b_ub[1] == pytest.approx(1)
-    assert list(form.integrality) == [1, 1]
-
-
-def test_standard_form_maximization_sign():
-    m = Model()
-    x = m.add_binary("x")
-    m.set_objective(5 * x + 1, "max")
-    form = StandardForm(m)
-    assert form.c[0] == pytest.approx(-5)
-    # internal min value -5 (at x=1) maps back to 5*1 + 1 = 6
-    assert form.report_objective(-5.0) == pytest.approx(6.0)
-
-
 def test_branch_bound_max_with_constant_objective():
     """Regression: the sign flip must not negate the constant term."""
     m = Model()
@@ -93,20 +60,3 @@ def test_branch_bound_max_with_constant_objective():
     m.set_objective(5 * x + 1, "max")
     sol = m.solve(backend="branch_bound")
     assert sol.objective == pytest.approx(6.0)
-
-
-def test_standard_form_rejects_quadratic():
-    m = Model()
-    x, y = m.add_binary("x"), m.add_binary("y")
-    m.add_constr(x * y <= 1)
-    with pytest.raises(ModelError):
-        StandardForm(m)
-
-
-def test_standard_form_solution_dict():
-    m = Model()
-    x = m.add_binary("x")
-    y = m.add_binary("y")
-    form = StandardForm(m)
-    values = form.solution_dict(np.array([1.0, 0.0]))
-    assert values[x] == 1.0 and values[y] == 0.0

@@ -6,11 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ModelError, SolverError
+from repro.errors import SolverError
 from repro.opt import Model, SolveStatus, VarType, quicksum
-from repro.opt.solvers import available_backends, get_backend
+from repro.opt.solvers import BUILTIN_BACKENDS, available_backends, get_backend
 
-BACKENDS = ["highs", "branch_bound", "backtrack"]
+BACKENDS = ["highs", "branch_bound"]
 
 
 def knapsack_model():
@@ -64,28 +64,15 @@ def test_integer_bounds_respected(backend):
 
 
 def test_backend_registry():
+    assert BUILTIN_BACKENDS == ("highs", "branch_bound", "parallel_bb")
     avail = available_backends()
-    assert avail["branch_bound"] and avail["backtrack"]
+    assert avail["branch_bound"] and avail["parallel_bb"]
     with pytest.raises(SolverError):
         get_backend("does-not-exist")
 
 
 def test_auto_backend_resolves():
     assert get_backend("auto").name in ("highs", "branch_bound")
-
-
-def test_backtrack_rejects_continuous():
-    m = Model()
-    m.add_var("c", VarType.CONTINUOUS, 0, 1)
-    with pytest.raises(ModelError):
-        m.solve(backend="backtrack")
-
-
-def test_backtrack_rejects_unbounded_integer():
-    m = Model()
-    m.add_integer("z", 0)  # infinite upper bound
-    with pytest.raises(ModelError):
-        m.solve(backend="backtrack")
 
 
 def test_branch_bound_continuous_lp():
@@ -147,7 +134,7 @@ def _brute_force(m: Model):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_backends_agree_with_enumeration(seed):
-    """All three backends match exhaustive enumeration on random MILPs.
+    """Both backends match exhaustive enumeration on random MILPs.
 
     The objective is unbounded below only if some negative-coefficient
     variable is free, which cannot happen here (all domains finite).
@@ -170,7 +157,7 @@ def test_backends_agree_property(seed):
     m = _random_model(seed)
     expected = _brute_force(m)
     sol_h = m.solve(backend="highs")
-    sol_b = m.solve(backend="backtrack")
+    sol_b = m.solve(backend="branch_bound")
     if expected is None:
         assert sol_h.status is SolveStatus.INFEASIBLE
         assert sol_b.status is SolveStatus.INFEASIBLE

@@ -19,8 +19,8 @@ from repro.core.heuristic import model_assignment, synthesize_greedy
 from repro.core.synthesizer import build_catalog
 from repro.analysis.sensitivity import weight_sweep
 from repro.opt import Model, SolveContext, SolveStatus, WarmStart
-from repro.opt.solvers.backtrack import BacktrackBackend
 from repro.opt.solvers.branch_bound import BranchBoundBackend
+from repro.opt.solvers.parallel_bb import ParallelBranchBoundBackend
 
 ALL_POLICIES = [BindingPolicy.FIXED, BindingPolicy.CLOCKWISE,
                 BindingPolicy.UNFIXED]
@@ -135,22 +135,6 @@ def test_warm_start_rejected_when_infeasible_or_incomplete():
     assert ws.objective == 0.0
 
 
-def test_portfolio_returns_warm_start_proven_at_root():
-    m = Model("provable")
-    x = m.add_binary("x")
-    y = m.add_binary("y")
-    m.add_constr(x + y >= 1)
-    m.set_objective(x + y, "min")
-    sol = m.solve(backend="portfolio", warm_start={x: 1.0, y: 0.0},
-                  warm_source="heuristic")
-    assert sol.status is SolveStatus.OPTIMAL
-    assert sol.objective == pytest.approx(1.0)
-    # The warm incumbent matched the root bound: no race was spawned.
-    assert sol.solver == "portfolio(warm)"
-    assert sol.counters["nodes"] == 0
-    assert sol.counters["incumbent_seeded"] == 1
-
-
 def test_branch_bound_seeds_warm_incumbent():
     m = Model("seeded")
     xs = [m.add_binary(f"x{i}") for i in range(6)]
@@ -166,7 +150,8 @@ def test_branch_bound_seeds_warm_incumbent():
     assert "heuristic" in sol.message
 
 
-@pytest.mark.parametrize("backend_cls", [BranchBoundBackend, BacktrackBackend])
+@pytest.mark.parametrize("backend_cls", [BranchBoundBackend,
+                                         ParallelBranchBoundBackend])
 def test_time_limit_clock_covers_presolve(backend_cls):
     """The deadline starts before presolve, so a nearly-expired limit
     must come back as TIME_LIMIT quickly instead of running a full
