@@ -6,6 +6,8 @@
 * conflict form: per-pair vs. the thesis' literal aggregate sum;
 * solvers: HiGHS vs. our branch-and-bound on an identical small model,
   vs. the model-free enumerator that never builds the model;
+* the pin-stub rows under free binding: root LP bound and
+  branch-and-bound nodes with and without them, same optimum;
 * exact synthesis vs. the greedy heuristic.
 """
 
@@ -19,10 +21,15 @@ from repro.core import (
     ConflictForm,
     NodePolicy,
     SchedulingForm,
+    SynthesisOptions,
     SynthesisStatus,
     synthesize,
     synthesize_greedy,
 )
+from repro.core.builder import SynthesisModelBuilder
+from repro.core.synthesizer import build_catalog
+from repro.opt.incremental import IncrementalLP
+from repro.opt.linearize import linearize
 from repro.testing import brute_force
 
 _rows = []
@@ -113,6 +120,50 @@ def test_ablation_solver_backends(benchmark, solver):
     seen = [r for r in _rows if r["ablation"].startswith("solver=")]
     objectives = {r["objective"] for r in seen}
     assert len(objectives) == 1, f"solvers disagree: {seen}"
+
+
+#: Free-binding cases for the pin-stub ablation: name -> generator args.
+STUB_CASES = {
+    "unfixed": dict(seed=1, n_flows=3, n_conflicts=1,
+                    binding=BindingPolicy.UNFIXED),
+    "clockwise": dict(seed=0, n_flows=2, n_conflicts=0,
+                      binding=BindingPolicy.CLOCKWISE),
+}
+
+
+def _root_bound(spec) -> float:
+    """The LP relaxation bound of the synthesis model, integrality dropped."""
+    built = SynthesisModelBuilder(
+        spec, build_catalog(spec, SynthesisOptions())).build()
+    form = linearize(built.model)[0].compiled()
+    res = IncrementalLP(form).solve()
+    assert res.status == 0
+    return form.obj_sign * res.fun + form.obj_offset
+
+
+@pytest.mark.parametrize("rows", ["on", "off"])
+@pytest.mark.parametrize("case", sorted(STUB_CASES))
+def test_ablation_pin_stub_rows(benchmark, monkeypatch, case, rows):
+    """The pin-stub rows lift the root bound and leave the optimum
+    alone; ``off`` builds the model without them."""
+    if rows == "off":
+        monkeypatch.setattr(SynthesisModelBuilder, "_pin_stub_rows",
+                            lambda self, model, y, used: None)
+    spec = generate_case(switch_size=8, n_inlets=2, **STUB_CASES[case])
+    bound = _root_bound(spec)
+    result = run_once(benchmark, synthesize, spec,
+                      bench_options(backend="branch_bound", time_limit=120))
+    assert result.status is SynthesisStatus.OPTIMAL
+    _rows.append({"ablation": f"stub_rows={rows} ({case})",
+                  "objective": round(result.objective, 3),
+                  "T(s)": round(result.runtime, 3),
+                  "root bound": round(bound, 3),
+                  "nodes": result.counters["nodes"]})
+    seen = [r for r in _rows if r["ablation"].endswith(f"({case})")]
+    assert len({r["objective"] for r in seen}) == 1, seen
+    bounds = {r["ablation"].split()[0]: r["root bound"] for r in seen}
+    if len(bounds) == 2:
+        assert bounds["stub_rows=on"] >= bounds["stub_rows=off"]
 
 
 @pytest.mark.parametrize("slack", [0.0, 2.0], ids=["shortest-only", "slack-2mm"])

@@ -10,7 +10,10 @@ plus a pre-enumerated :class:`~repro.switches.paths.PathCatalog` into a
 * contamination avoidance — eq. (3.3);
 * flow scheduling — eqs. (3.4)–(3.6) (the K/k/q′ counters), plus the
   indicator side ``k ≤ (1 − q′)·N`` the construction needs to be sound;
-* the objective ``α·N_sets + β·L_flow`` — eq. (3.7).
+* the objective ``α·N_sets + β·L_flow`` — eq. (3.7);
+* valid rows that only tighten the LP relaxation: set-cover cliques,
+  rotation symmetry breaking and, under free binding, one pin-stub row
+  per pin (docs/mathematical_model.md).
 
 Constraints are stated over *sites*: the switch nodes selected by the
 node policy plus every flow segment. Usage indicators ``a[i, site]``
@@ -110,6 +113,7 @@ class SynthesisModelBuilder:
             self._fixed_constraints(model, y)
         if spec.binding is not BindingPolicy.FIXED:
             self._rotation_symmetry_breaking(model, y)
+            self._pin_stub_rows(model, y, used)
 
         self._objective(model, built)
         return built
@@ -492,6 +496,28 @@ class SynthesisModelBuilder:
             == 1,
             "rot_symmetry",
         )
+
+    def _pin_stub_rows(self, model: Model, y, used) -> None:
+        """A pin that holds a flow's module pays for its stub segment.
+
+        Every pin attaches to exactly one segment, its stub, and holds
+        at most one module (3.10). A module that is some flow's endpoint
+        forces that flow's path to start or end on its pin, so the stub
+        is used: ``used[stub(p)] >= sum_m y[m, p]`` over those modules.
+        The coupling rows only give this per module, which lets the LP
+        put two modules half on one pin and pay for half a stub. Pins a
+        health mask left without a live stub get no row.
+        """
+        endpoints = {m for f in self.spec.flows for m in (f.source, f.target)}
+        modules = [m for m in self.spec.modules if m in endpoints]
+        for p in self.switch.pins:
+            segments = self.switch.segments_at(p)
+            if len(segments) != 1 or segments[0].key not in used:
+                continue
+            model.add_constr(
+                used[segments[0].key] >= quicksum(y[(m, p)] for m in modules),
+                f"stub_{p}",
+            )
 
     def _fixed_constraints(self, model: Model, y) -> None:
         # (3.11) bind the specified module-pin pairs

@@ -272,9 +272,10 @@ class Model:
         ``"auto"`` picks HiGHS when scipy provides it and falls back to
         the built-in branch-and-bound otherwise. Quadratic models are
         linearized exactly first; the reported solution only contains
-        the original variables. The returned solution carries a
-        per-phase wall-clock breakdown in ``solution.timings`` and
-        search counters in ``solution.counters``.
+        the original variables, and its ``objective`` is the objective
+        evaluated on that assignment, whatever the backend reported. The
+        returned solution carries a per-phase wall-clock breakdown in
+        ``solution.timings`` and search counters in ``solution.counters``.
 
         ``warm_start`` optionally supplies a complete assignment of the
         original variables. It is validated against the constraints
@@ -337,16 +338,19 @@ class Model:
         if back_map is not None and solution.values is not None:
             solution = solution.restrict(set(self.variables))
 
-        if solution.status is SolveStatus.OPTIMAL and solution.values is not None:
-            with recorder.phase("check"):
-                violated = self.check_assignment(
-                    {v: solution.values[v] for v in self.variables}, tol=1e-5
-                )
-            if violated:
-                raise SolverError(
-                    f"solver returned an assignment violating {len(violated)} constraint(s); "
-                    f"first: {violated[0]!r}"
-                )
+        if solution.has_solution:
+            assignment = {v: solution.values[v] for v in self.variables}
+            if solution.is_optimal:
+                with recorder.phase("check"):
+                    violated = self.check_assignment(assignment, tol=1e-5)
+                if violated:
+                    raise SolverError(
+                        f"solver returned an assignment violating {len(violated)} "
+                        f"constraint(s); first: {violated[0]!r}"
+                    )
+            # Report the value of the returned assignment, not the
+            # backend's floating-point running total.
+            solution.objective = self.objective.value(assignment)
         solution.runtime = time.perf_counter() - start
         solution.model_name = self.name
         solution.timings.merge(recorder.timings)

@@ -11,10 +11,11 @@ Three classic, always-safe reductions, iterated to a fixed point:
    prove infeasibility immediately.
 
 The pass returns a reduced model plus the set of fixed assignments; it
-never changes the feasible set. All three built-in backends run it
-first (HiGHS then adds its own presolve), and it is directly useful on
-the synthesis models, where the coupling equalities fix large blocks of
-``x`` under the fixed binding policy.
+never changes the feasible set. The branch-and-bound backends
+(``branch_bound`` and ``parallel_bb``) run it first, and it is directly
+useful on the synthesis models, where the coupling equalities fix large
+blocks of ``x`` under the fixed binding policy. The ``highs`` backend
+does not: HiGHS's own presolve repeats every reduction made here.
 
 The round loop runs on the model's cached sparse compilation
 (:mod:`repro.opt.compile`): row activity bounds are two sparse

@@ -7,21 +7,19 @@ compiled once to sparse range form (``row_lb <= A @ x <= row_ub``, see
 directly — repeated solves of the same model skip the flattening
 entirely.
 
-Two reductions run before HiGHS sees the model:
-
-* the repo's vectorized presolve (singleton cascade, bound tightening,
-  redundancy elimination) shrinks the array dimensions; fixed variables
-  are mapped back into the reported solution afterwards;
-* implied-integer variables (counters and indicator chains that are
-  forced integral by their defining rows, marked by the model builder
-  and the linearizer) are relaxed to continuous in the ``integrality``
-  vector, which shrinks HiGHS's branch set without changing any
-  optimum. Reported values are still rounded per variable type.
+HiGHS gets the linearized model as it is and runs its own presolve.
+The one change made on the way is to the ``integrality`` vector:
+implied-integer variables (counters and indicator chains that are
+forced integral by their defining rows, marked by the model builder
+and the linearizer) are relaxed to continuous, which shrinks HiGHS's
+branch set without changing any optimum. Reported values are still
+rounded per variable type. The repo's own presolve
+(:mod:`repro.opt.presolve`) serves the branch-and-bound backends only:
+HiGHS repeats every reduction it makes.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import numpy as np
@@ -49,31 +47,6 @@ class HighsBackend(SolverBackend):
         # warm_start is accepted for interface parity but unused:
         # scipy's milp() has no incumbent-injection hook, and HiGHS's
         # own presolve/heuristics find the same incumbents quickly.
-        start = time.perf_counter()
-        if model.num_vars and model.num_constraints:
-            from repro.opt.incremental import map_back_solution
-            from repro.opt.presolve import presolve
-
-            reduction = presolve(model)
-            presolve_s = time.perf_counter() - start
-            if reduction.proven_infeasible:
-                sol = Solution(SolveStatus.INFEASIBLE, solver=self.name,
-                               message="presolve proved infeasibility")
-                sol.timings.add("presolve", presolve_s)
-                return sol
-            remaining = None
-            if time_limit is not None:
-                remaining = max(time_limit - presolve_s, 0.01)
-            sol = self._solve_compiled(reduction.model, remaining, mip_gap, verbose)
-            sol = map_back_solution(sol, model, reduction, self.name)
-            sol.timings.add("presolve", presolve_s)
-            sol.counters["presolve_fixed"] = len(reduction.fixed)
-            sol.counters["presolve_dropped_rows"] = reduction.dropped_constraints
-            return sol
-        return self._solve_compiled(model, time_limit, mip_gap, verbose)
-
-    def _solve_compiled(self, model: Model, time_limit: Optional[float],
-                        mip_gap: float, verbose: bool) -> Solution:
         compiled = model.compiled()
         if compiled.n == 0:
             return Solution(SolveStatus.OPTIMAL, compiled.obj_offset, {},

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cases import generate_case
 from repro.core import (
     BindingPolicy,
     Flow,
@@ -12,6 +13,8 @@ from repro.core import (
 )
 from repro.core.builder import SynthesisModelBuilder
 from repro.core.synthesizer import SynthesisOptions, build_catalog
+from repro.opt.incremental import IncrementalLP
+from repro.opt.linearize import linearize
 from repro.switches import CrossbarSwitch
 
 
@@ -145,3 +148,49 @@ def test_no_flows_builds_binding_only_model():
     assert built.model.num_constraints > 0  # binding constraints remain
     sol = built.model.solve()
     assert sol.is_optimal
+
+
+def _stub_rows(model):
+    return [c for c in model.constraints if c.name.startswith("stub_")]
+
+
+def _root_bound(model):
+    """The LP relaxation bound of ``model`` with integrality dropped."""
+    form = linearize(model)[0].compiled()
+    res = IncrementalLP(form).solve()
+    assert res.status == 0
+    return form.obj_sign * res.fun + form.obj_offset
+
+
+@pytest.mark.parametrize("policy", [BindingPolicy.CLOCKWISE,
+                                    BindingPolicy.UNFIXED],
+                         ids=lambda p: p.value)
+def test_pin_stub_rows_lift_the_root_bound(policy):
+    """One set plus four stubs of 0.7 mm (alpha + beta * 2.8 = 281): the
+    LP pays for a stub on every pin a flow's module sits on. Without the
+    rows it can put two modules half on one pin (bound 141)."""
+    spec = generate_case(0, switch_size=8, n_flows=2, n_inlets=2,
+                         binding=policy)
+    built = build(spec)
+    assert len(_stub_rows(built.model)) == spec.switch.n_pins
+    assert _root_bound(built.model) == pytest.approx(281.0, abs=1e-6)
+
+
+def test_fixed_binding_gets_no_pin_stub_rows():
+    assert not _stub_rows(build(fixed_spec()).model)
+
+
+def test_module_without_a_flow_stays_out_of_pin_stub_rows():
+    """A module that is no flow's endpoint may sit on a pin without
+    using its stub, so its binding variables appear in no stub row."""
+    spec = fixed_spec(modules=["i1", "i2", "o1", "o2", "spare"],
+                      binding=BindingPolicy.UNFIXED, fixed_binding=None)
+    built = build(spec)
+    rows = _stub_rows(built.model)
+    assert len(rows) == spec.switch.n_pins
+    in_rows = {v for c in rows for v in c.expr.terms}
+    spare = {built.y[("spare", p)] for p in spec.switch.pins}
+    assert not in_rows & spare
+    flow_modules = {built.y[(m, p)] for m in ("i1", "i2", "o1", "o2")
+                    for p in spec.switch.pins}
+    assert flow_modules <= in_rows

@@ -19,6 +19,8 @@ from repro.core import (
     verify_result,
 )
 from repro.core.verify import verify_contamination_freedom, verify_schedule
+from repro.repair.engine import mask_spec, parse_faults
+from repro.switches import CrossbarSwitch
 from repro.testing import brute_force
 
 FAST = SynthesisOptions(time_limit=30)
@@ -109,6 +111,24 @@ def test_exact_synthesis_matches_the_enumerator(seed, n_conflicts, binding):
         if expected.status is SynthesisStatus.OPTIMAL:
             assert result.objective == pytest.approx(
                 expected.objective, rel=1e-6), backend
+
+
+@pytest.mark.parametrize("pin", CrossbarSwitch(8).pins)
+def test_stuck_closed_pin_stub_matches_the_enumerator(pin):
+    """The single-fault model of field-programmable valve arrays: a
+    stuck-closed valve on one pin's stub leaves that pin with no live
+    segment, and the free-binding model must skip its stub row."""
+    (stub,) = CrossbarSwitch(8).segments_at(pin)
+    spec = mask_spec(
+        generate_case(0, switch_size=8, n_flows=2, n_inlets=2,
+                      binding=BindingPolicy.UNFIXED),
+        parse_faults(f"{stub.a}-{stub.b}:stuck_closed"))
+    expected = brute_force(spec)
+    result = synthesize(spec, SynthesisOptions(
+        backend="highs", mip_gap=1e-9, time_limit=60, on_error="raise"))
+    assert result.status is expected.status
+    if expected.status is SynthesisStatus.OPTIMAL:
+        assert result.objective == pytest.approx(expected.objective, rel=1e-6)
 
 
 @settings(max_examples=8, deadline=None,

@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.cases import generate_case, kinase_sw2
+from repro.core import BindingPolicy, SynthesisOptions
+from repro.core.builder import SynthesisModelBuilder
+from repro.core.synthesizer import build_catalog
 from repro.errors import ModelError
 from repro.opt import Model, SolveStatus, VarType, quicksum
 
@@ -140,3 +144,28 @@ def test_model_stats_counts_objective_products():
     x, y = m.add_binary("x"), m.add_binary("y")
     m.set_objective(x * y, "min")
     assert m.stats()["quadratic_products"] == 1
+
+
+def _crossing_panel_case(seed):
+    return generate_case(seed, switch_size=8, n_flows=2, n_inlets=2,
+                         binding=BindingPolicy.CLOCKWISE)
+
+
+@pytest.mark.parametrize("make_spec", [
+    # Specs whose HiGHS objective carries float noise: 550.9999999999998,
+    # 820.9999999999758, 481.99999999999983 and 481.9999999999985, where
+    # the returned assignments evaluate to 551, 821, 482 and 482.
+    lambda: generate_case(1, switch_size=8, n_flows=3, n_inlets=2,
+                          n_conflicts=1, binding=BindingPolicy.UNFIXED),
+    lambda: kinase_sw2(BindingPolicy.UNFIXED),
+    lambda: _crossing_panel_case(1226688872),
+    lambda: _crossing_panel_case(2146381248),
+], ids=["artificial_unfixed_3flow", "kinase_sw2_unfixed",
+        "crossing_cw_1226688872", "crossing_cw_2146381248"])
+def test_reported_objective_is_the_value_of_the_returned_assignment(make_spec):
+    spec = make_spec()
+    model = SynthesisModelBuilder(
+        spec, build_catalog(spec, SynthesisOptions())).build().model
+    sol = model.solve(backend="highs")
+    assert sol.is_optimal
+    assert sol.objective == model.objective.value(sol.values)
