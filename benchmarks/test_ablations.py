@@ -29,7 +29,6 @@ from repro.core import (
 from repro.core.builder import SynthesisModelBuilder
 from repro.core.synthesizer import build_catalog
 from repro.opt.incremental import IncrementalLP
-from repro.opt.linearize import linearize
 from repro.testing import brute_force
 
 _rows = []
@@ -135,7 +134,7 @@ def _root_bound(spec) -> float:
     """The LP relaxation bound of the synthesis model, integrality dropped."""
     built = SynthesisModelBuilder(
         spec, build_catalog(spec, SynthesisOptions())).build()
-    form = linearize(built.model)[0].compiled()
+    form = built.model.compiled()
     res = IncrementalLP(form).solve()
     assert res.status == 0
     return form.obj_sign * res.fun + form.obj_offset

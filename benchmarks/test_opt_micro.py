@@ -15,7 +15,7 @@ from repro.core import BindingPolicy, SynthesisOptions
 from repro.core.builder import SynthesisModelBuilder
 from repro.core.synthesizer import build_catalog
 from repro.opt import Model, model_to_lp, presolve, quicksum
-from repro.opt.linearize import linearize
+from repro.opt.compile import CompiledModel
 
 
 def _quadratic_model(n=40, seed=3):
@@ -43,13 +43,10 @@ def test_micro_model_construction(benchmark):
 
 def test_micro_linearization(benchmark):
     model = _quadratic_model()
-
-    def run():
-        return linearize(model)
-
-    lin, products = benchmark(run)
-    assert lin.is_linear()
-    assert len(products) == 39  # consecutive pairs
+    # CompiledModel itself, not the cached model.compiled(): every round
+    # flattens the model and linearizes its products afresh.
+    form = benchmark(CompiledModel, model)
+    assert len(form.products) == 39  # consecutive pairs
 
 
 def test_micro_presolve(benchmark):

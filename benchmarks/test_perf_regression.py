@@ -82,7 +82,7 @@ def _presolve_micro_record() -> Dict[str, object]:
     m.set_objective(quicksum(xs), "min")
     with rec.phase("presolve"):
         res = presolve(m)
-    assert res.model.num_vars == 0  # the ladder collapses entirely
+    assert res.form.n == 0  # the ladder collapses entirely
     return rec.record()
 
 

@@ -34,10 +34,6 @@ class SolverError(ReproError):
     """A solver backend failed unexpectedly (not mere infeasibility)."""
 
 
-class InfeasibleError(SolverError):
-    """Raised by convenience APIs when a model is proven infeasible."""
-
-
 class SolveTimeoutError(ReproError):
     """An exact solve hit its wall-clock budget without a conclusive answer.
 

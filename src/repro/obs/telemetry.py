@@ -418,10 +418,6 @@ class FlightRecorder:
                     del ring[0]
                 self._rings.move_to_end(corr)
 
-    def correlations(self) -> List[str]:
-        with self._lock:
-            return list(self._rings)
-
     def trace(self, key: str) -> Optional[List[Dict[str, Any]]]:
         """The job's records as one small schema-valid stream.
 

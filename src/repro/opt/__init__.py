@@ -15,7 +15,6 @@ from repro.opt.expr import (
     quicksum,
 )
 from repro.opt.incremental import IncrementalLP, SolveContext, WarmStart
-from repro.opt.linearize import linearize
 from repro.opt.lp_format import model_to_lp, write_lp
 from repro.opt.model import Model
 from repro.opt.presolve import PresolveResult, presolve
@@ -33,7 +32,6 @@ __all__ = [
     "quicksum",
     "Solution",
     "SolveStatus",
-    "linearize",
     "presolve",
     "PresolveResult",
     "model_to_lp",

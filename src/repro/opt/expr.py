@@ -15,7 +15,6 @@ paper.
 from __future__ import annotations
 
 import enum
-import math
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 from repro.errors import ModelError
@@ -413,12 +412,3 @@ def quicksum(items: Iterable[ExprLike]) -> ExprLike:
         return QuadExpr(quad, lin, constant)
     return LinExpr(lin, constant)
 
-
-def is_integral(value: float, tol: float = 1e-6) -> bool:
-    """Whether a float is within tolerance of an integer."""
-    return abs(value - round(value)) <= tol
-
-
-def ceil_with_tol(value: float, tol: float = 1e-9) -> int:
-    """Ceiling that forgives tiny floating point overshoot."""
-    return math.ceil(value - tol)

@@ -80,9 +80,10 @@ LP_ENGINE = "highs" if _HIGHS is not None else "linprog"
 class WarmStart:
     """A feasible assignment offered to a backend as initial incumbent.
 
-    ``values`` maps variable *names* to values (names survive presolve
-    and model reduction, variable objects do not). ``objective`` is the
-    user-space objective of the assignment.
+    ``values`` maps variable *names* to values, auxiliary product
+    columns included, so it fits the compiled form of the model and any
+    presolve-reduced form of it. ``objective`` is the user-space
+    objective of the assignment.
     """
 
     values: Dict[str, float]
@@ -91,14 +92,15 @@ class WarmStart:
 
     def vector(self, compiled) -> Optional[np.ndarray]:
         """The assignment as a column vector over ``compiled``'s
-        variables, or None when any variable is missing a value."""
+        variables (by position), or None when any variable is missing a
+        value."""
         x = np.empty(compiled.n)
         values = self.values
-        for v in compiled.variables:
+        for i, v in enumerate(compiled.variables):
             val = values.get(v.name)
             if val is None:
                 return None
-            x[v.index] = val
+            x[i] = val
         return x
 
 
@@ -427,32 +429,5 @@ class SolveContext:
                 f"incumbents={len(self._incumbents)}, stats={self.stats})")
 
 
-def map_back_solution(sol, original, reduction, solver_name: str):
-    """Translate a reduced-model solution back to the original model.
-
-    Reduced variables share names with the originals; presolve-fixed
-    variables are re-inserted. The objective value is identical because
-    presolve folds fixed contributions into the reduced objective.
-    """
-    from repro.opt.result import Solution
-
-    if not sol.has_solution:
-        sol.solver = solver_name
-        return sol
-    by_name = {v.name: val for v, val in sol.values.items()}
-    values = {}
-    for v in original.variables:
-        if v in reduction.fixed:
-            values[v] = reduction.fixed[v]
-        else:
-            values[v] = by_name[v.name]
-    mapped = Solution(sol.status, sol.objective, values,
-                      runtime=sol.runtime, solver=solver_name,
-                      gap=sol.gap, message=sol.message)
-    mapped.timings = sol.timings
-    mapped.counters = sol.counters
-    return mapped
-
-
 __all__ = ["WarmStart", "IncrementalLP", "LPResult", "LP_ENGINE",
-           "SolveContext", "map_back_solution"]
+           "SolveContext"]

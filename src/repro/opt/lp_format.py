@@ -2,21 +2,25 @@
 
 Lets any model built with :mod:`repro.opt` be inspected or fed to an
 external solver (Gurobi, CPLEX, HiGHS standalone) for cross-checking —
-handy when comparing against the paper's original Gurobi runs.
-Quadratic models are linearized first, so the emitted file is always a
-plain MILP.
+handy when comparing against the paper's original Gurobi runs. The file
+is written from the model's compiled form (:mod:`repro.opt.compile`),
+where binary products are already linearized, so it is always a plain
+MILP: one ``_lin_`` column per distinct product and its ``_lz`` rows.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import List, Union
+from typing import List, Sequence, Union
 
-from repro.opt.expr import LinExpr, QuadExpr, Sense, Var, VarType
+import numpy as np
+
+from repro.opt.compile import SENSE_EQ, SENSE_GE, SENSE_LE
+from repro.opt.expr import VarType
 from repro.opt.model import Model
 
-_SENSE_TOKEN = {Sense.LE: "<=", Sense.GE: ">=", Sense.EQ: "="}
+_SENSE_TOKEN = {SENSE_LE: "<=", SENSE_GE: ">=", SENSE_EQ: "="}
 
 
 def _sanitize(name: str) -> str:
@@ -31,53 +35,47 @@ def _sanitize(name: str) -> str:
     return token
 
 
-def _terms_to_lp(expr) -> str:
-    if isinstance(expr, QuadExpr):
-        if expr.quad_terms:
-            raise ValueError("linearize the model before LP export")
-        terms = expr.lin_terms
-    else:
-        terms = expr.terms
-    if not terms:
+def _terms_to_lp(cols: np.ndarray, coefs: np.ndarray,
+                 names: Sequence[str]) -> str:
+    """One linear expression; ``cols`` ascend (CSR rows do)."""
+    if not cols.size:
         return "0 __zero__"
     parts: List[str] = []
-    for var, coef in sorted(terms.items(), key=lambda vc: vc[0].index):
+    for j, coef in zip(cols.tolist(), coefs.tolist()):
         sign = "+" if coef >= 0 else "-"
-        parts.append(f"{sign} {abs(coef):.12g} {_sanitize(var.name)}")
+        parts.append(f"{sign} {abs(coef):.12g} {names[j]}")
     text = " ".join(parts)
     return text[2:] if text.startswith("+ ") else text
 
 
 def model_to_lp(model: Model) -> str:
-    """Serialize a model to CPLEX LP format (linearizing if needed)."""
-    if not model.is_linear():
-        from repro.opt.linearize import linearize
-
-        model, _ = linearize(model)
+    """Serialize a model to CPLEX LP format (products linearized)."""
+    form = model.compiled()
+    names = [_sanitize(v.name) for v in form.variables]
 
     lines: List[str] = [f"\\ model: {model.name}"]
-    lines.append("Minimize" if model.minimize else "Maximize")
-    obj = model.objective
-    const = obj.constant if isinstance(obj, (LinExpr, QuadExpr)) else 0.0
-    lines.append(f" obj: {_terms_to_lp(obj)}")
-    if const:
-        lines[-1] += f" + {const:.12g} __one__"
+    lines.append("Minimize" if form.minimize else "Maximize")
+    # form.c is sign-flipped for maximization; write the user objective.
+    c = form.c if form.minimize else -form.c
+    obj_cols = np.flatnonzero(c)
+    lines.append(f" obj: {_terms_to_lp(obj_cols, c[obj_cols], names)}")
+    if form.obj_offset:
+        lines[-1] += f" + {form.obj_offset:.12g} __one__"
 
     lines.append("Subject To")
-    for idx, constr in enumerate(model.constraints):
-        expr = constr.expr
-        rhs = -(expr.constant if isinstance(expr, (LinExpr, QuadExpr)) else 0.0)
-        name = _sanitize(constr.name or f"c{idx}")
+    A = form.A_csr
+    for r in range(form.m):
+        row = slice(A.indptr[r], A.indptr[r + 1])
+        name = _sanitize(form.row_names[r] or f"c{r}")
         lines.append(
-            f" {name}: {_terms_to_lp(expr)} "
-            f"{_SENSE_TOKEN[constr.sense]} {rhs:.12g}"
+            f" {name}: {_terms_to_lp(A.indices[row], A.data[row], names)} "
+            f"{_SENSE_TOKEN[int(form.senses[r])]} {form.rhs[r]:.12g}"
         )
 
     bounds: List[str] = []
     generals: List[str] = []
     binaries: List[str] = []
-    for var in model.variables:
-        name = _sanitize(var.name)
+    for var, name in zip(form.variables, names):
         if var.vtype is VarType.BINARY:
             binaries.append(name)
             continue

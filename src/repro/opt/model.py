@@ -1,9 +1,11 @@
 """The optimization model container.
 
 :class:`Model` collects variables, (possibly quadratic) constraints and
-an objective, and dispatches to a solver backend. Quadratic models are
-linearized exactly before solving (see :mod:`repro.opt.linearize`), so
-every backend only ever sees a mixed-integer *linear* program.
+an objective, and dispatches to a solver backend. Backends read the
+model through its compiled form (:meth:`Model.compiled`, see
+:mod:`repro.opt.compile`), where binary products are already linearized
+exactly, so every backend only ever sees a mixed-integer *linear*
+program.
 """
 
 from __future__ import annotations
@@ -178,7 +180,8 @@ class Model:
     # compilation cache
     # ------------------------------------------------------------------
     def compiled(self):
-        """The model in sparse matrix form (cached; see repro.opt.compile).
+        """The model in sparse matrix form with its binary products
+        linearized (cached; see repro.opt.compile).
 
         The cache is invalidated automatically by :meth:`add_var`,
         :meth:`add_constr` and :meth:`set_objective`; after mutating a
@@ -270,9 +273,10 @@ class Model:
         ``"parallel_bb"`` (or ``"parallel_bb:N"`` for N workers) or a
         name added with :func:`~repro.opt.solvers.register_backend`.
         ``"auto"`` picks HiGHS when scipy provides it and falls back to
-        the built-in branch-and-bound otherwise. Quadratic models are
-        linearized exactly first; the reported solution only contains
-        the original variables, and its ``objective`` is the objective
+        the built-in branch-and-bound otherwise. The backend receives the
+        model as written and reads its compiled form, where products are
+        linearized exactly; the reported solution only contains the
+        original variables, and its ``objective`` is the objective
         evaluated on that assignment, whatever the backend reported. The
         returned solution carries a per-phase wall-clock breakdown in
         ``solution.timings`` and search counters in ``solution.counters``.
@@ -288,7 +292,6 @@ class Model:
         (optimal/infeasible/unbounded — all independent of any time
         limit); any structural mutation invalidates the cache.
         """
-        from repro.opt.linearize import linearize
         from repro.opt.solvers import get_backend
         from repro.perf import PerfRecorder
 
@@ -306,15 +309,15 @@ class Model:
             return hit
 
         recorder = PerfRecorder(self.name)
-        if self.is_linear():
-            work_model, back_map = self, None
-        else:
-            with recorder.phase("linearize"):
-                work_model, back_map = linearize(self)
+        # The "linearize" phase is the whole compile: flattening the
+        # model and linearizing its products (a cache hit when unchanged).
+        with recorder.phase("linearize"):
+            compiled = self.compiled()
 
         warm = None
         if warm_start is not None:
-            warm = self._build_warm_start(warm_start, back_map, warm_source)
+            warm = self._build_warm_start(warm_start, compiled.products,
+                                          warm_source)
 
         solver = get_backend(backend)
         t_backend = time.perf_counter()
@@ -324,7 +327,7 @@ class Model:
         with obs_span("solve", kind="phase", model=self.name,
                       backend=solver.name):
             solution = solver.solve(
-                work_model, time_limit=time_limit, mip_gap=mip_gap,
+                self, time_limit=time_limit, mip_gap=mip_gap,
                 verbose=verbose, warm_start=warm,
             )
         # The backend reports its presolve share in solution.timings;
@@ -335,7 +338,7 @@ class Model:
             "solve", max(0.0, backend_s - solution.timings.get("presolve", 0.0))
         )
 
-        if back_map is not None and solution.values is not None:
+        if compiled.products and solution.values is not None:
             solution = solution.restrict(set(self.variables))
 
         if solution.has_solution:
@@ -364,14 +367,15 @@ class Model:
             self._solutions[cache_key] = solution.clone()
         return solution
 
-    def _build_warm_start(self, warm_start: Dict[Var, float], back_map,
+    def _build_warm_start(self, warm_start: Dict[Var, float], products,
                           source: str = "warm"):
         """Validate a user assignment and package it for the backends.
 
         Returns None (warm start silently dropped) when the assignment
         is incomplete or violates any constraint — a bad warm start
         must never be able to corrupt an exact search. Linearization
-        product variables are completed from their factors.
+        product columns (``products``, from the compiled form) are
+        completed from their factors.
         """
         from repro.opt.incremental import WarmStart
 
@@ -380,8 +384,8 @@ class Model:
             return None
         if self.check_assignment(values, tol=1e-6):
             return None
-        if back_map:
-            for (a, b), z in back_map.items():
+        if products:
+            for (a, b), z in products.items():
                 if z not in values:
                     values[z] = values[a] * values[b]
         objective = (self.objective.value(values)

@@ -12,16 +12,16 @@ Design invariants (the determinism contract, asserted by
 ``tests/test_parallel_bb.py``):
 
 * **Round-synchronized search.** The coordinator keeps the global
-  frontier as a best-first heap keyed ``(bound, seeded path hash,
-  path)``. Each round it pops a *fixed-size* batch (independent of the
-  worker count), ships every subtree with the incumbent known at round
-  start, and merges results at a barrier in sorted-path order. Which
-  nodes get explored therefore depends only on the model and the seed —
-  never on how many workers ran or which finished first.
+  frontier as a best-first heap keyed ``(bound, path hash, path)``.
+  Each round it pops a *fixed-size* batch (independent of the worker
+  count), ships every subtree with the incumbent known at round start,
+  and merges results at a barrier in sorted-path order. Which
+  nodes get explored therefore depends only on the model — never on how
+  many workers ran or which finished first.
 * **Node identity is the branch path.** A node is named by the tuple of
   its branch decisions (``var*2 + is_ub`` per level). Ties in the heap
-  break on a CRC32 of ``(seed, path)`` — a pure function of identity,
-  never of arrival time. The rolling CRC32 over all explored paths is
+  break on a CRC32 of the path — a pure function of identity, never of
+  arrival time. The rolling CRC32 over all explored paths is
   reported as the ``node_order_hash`` counter.
 * **Tasks without side state.** A task's branching choice is a pure
   function of its node's LP solution (most-fractional, lowest index on
@@ -35,11 +35,8 @@ Design invariants (the determinism contract, asserted by
   before. Workers solve with the coordinator's LP engine.
 
 The shared-incumbent channel (a lock-free ``multiprocessing.Value``) is
-*written* eagerly by every worker, but in the default deterministic
-mode it is only *read* at round boundaries. Passing
-``eager_pruning=True`` lets workers also prune against it mid-task —
-faster on hard trees, at the price of timing-dependent ``nodes`` /
-``lp_calls`` counters (objective and assignment stay exact either way).
+*written* eagerly by every worker, but only *read* at round boundaries,
+so which incumbent a task prunes against never depends on timing.
 
 Worker IPC is a pair of simplex pipes per worker (no shared queues or
 locks), so a SIGKILLed worker is observed as a plain ``EOFError`` on
@@ -95,9 +92,14 @@ def encode_step(var: int, is_ub: bool) -> int:
     return var * 2 + (1 if is_ub else 0)
 
 
-def path_tie(seed: int, path: Path) -> int:
-    """Seeded heap tie-break for a node — a function of identity only."""
-    data = np.asarray((seed,) + path, dtype=np.int64).tobytes()
+def path_tie(path: Path) -> int:
+    """Heap tie-break for a node — a function of identity only.
+
+    It hashes a leading 0 before the path, so the values (and with them
+    every ``node_order_hash``) match the hashes the search has always
+    reported.
+    """
+    data = np.asarray((0,) + path, dtype=np.int64).tobytes()
     return zlib.crc32(data)
 
 
@@ -140,37 +142,32 @@ class SubtreeExplorer:
     tightened`). ``solver`` labels the telemetry events tasks emit.
     """
 
-    def __init__(self, form, *, use_cuts: bool = True, seed: int = 0,
-                 solver: str = "parallel_bb") -> None:
+    def __init__(self, form, *, solver: str = "parallel_bb") -> None:
         self.form = form
-        self.seed = seed
         self.solver = solver
         self.lp = IncrementalLP(form)
         self.branch_idx = np.where(form.branch_integrality == 1)[0]
-        self.cuts = 0
-        if use_cuts:
-            cliques = clique_cuts(form)
-            if cliques:
-                self.lp.add_cuts(*cut_rows(form, cliques))
-                self.cuts = len(cliques)
+        cliques = clique_cuts(form)
+        if cliques:
+            self.lp.add_cuts(*cut_rows(form, cliques))
+        self.cuts = len(cliques)
 
     def run_task(self, chain: Sequence[Delta], path: Path, *,
                  incumbent_val: float = math.inf,
                  node_budget: int = TASK_NODE_BUDGET,
                  mip_gap: float = 1e-9,
                  deadline: Optional[Deadline] = None,
-                 shared_best=None,
-                 eager: bool = False) -> Dict[str, Any]:
+                 shared_best=None) -> Dict[str, Any]:
         """Explore the subtree rooted at ``chain``/``path``.
 
-        Deterministic given ``(form, seed, chain, path, incumbent_val,
+        Deterministic given ``(form, chain, path, incumbent_val,
         node_budget)``. The deadline only stops the task early, at a node
         boundary: the node just popped goes back with the other open
         nodes as a leftover, so a stopped task never looks finished.
         ``shared_best`` (anything with a ``value`` attribute) is the best
         objective any task has found so far: a task announces an
-        incumbent only when it beats that value, and prunes against it
-        only in eager mode.
+        incumbent only when it beats that value, and never prunes
+        against it.
         """
         lp = self.lp
         form = self.form
@@ -184,12 +181,9 @@ class SubtreeExplorer:
         leftovers: List[Tuple[float, Path, Tuple[Delta, ...]]] = []
 
         def cutoff() -> float:
-            inc = local_inc
-            if eager and shared_best is not None and shared_best.value < inc:
-                inc = shared_best.value
-            if math.isinf(inc):
+            if math.isinf(local_inc):
                 return math.inf
-            return inc - mip_gap * max(1.0, abs(inc))
+            return local_inc - mip_gap * max(1.0, abs(local_inc))
 
         def found(value: float, x: np.ndarray) -> None:
             """An integral LP solution: keep it if it is this task's best."""
@@ -236,7 +230,7 @@ class SubtreeExplorer:
         # both children hot-start from their parent's basis.
         heap: List[Tuple[float, int, Path, Tuple[Delta, ...], np.ndarray,
                          Any]] = [
-            (float(res.fun), path_tie(self.seed, path), path, chain, res.x,
+            (float(res.fun), path_tie(path), path, chain, res.x,
              lp.basis())
         ]
         while heap:
@@ -276,8 +270,7 @@ class SubtreeExplorer:
                     found(child_bound, child.x)
                 elif child_bound < cutoff():
                     child_path = pth + (encode_step(j, is_ub),)
-                    heappush(heap, (child_bound,
-                                    path_tie(self.seed, child_path),
+                    heappush(heap, (child_bound, path_tie(child_path),
                                     child_path, chn + ((j, is_ub, value),),
                                     child.x, lp.basis()))
 
@@ -293,8 +286,8 @@ class SubtreeExplorer:
 # Worker process
 # ----------------------------------------------------------------------
 
-def _worker_main(wid: int, payload: bytes, task_r, res_w, shared_best,
-                 eager: bool) -> None:
+def _worker_main(wid: int, payload: bytes, task_r, res_w,
+                 shared_best) -> None:
     """Worker entry point: build a warm explorer, then serve tasks.
 
     When the coordinating process traces, ``cfg["telemetry"]`` turns on
@@ -311,8 +304,7 @@ def _worker_main(wid: int, payload: bytes, task_r, res_w, shared_best,
         # Solve with the coordinator's LP engine: iteration counts are
         # part of the determinism contract, and they differ by engine.
         incremental.LP_ENGINE = cfg["lp_engine"]
-        explorer = SubtreeExplorer(
-            cfg["form"], use_cuts=cfg["use_cuts"], seed=cfg["seed"])
+        explorer = SubtreeExplorer(cfg["form"])
         if cfg.get("telemetry"):
             from repro.obs.telemetry import TelemetryShipper
             from repro.obs.trace import Tracer, use_tracer
@@ -351,7 +343,7 @@ def _worker_main(wid: int, payload: bytes, task_r, res_w, shared_best,
                     mip_gap=task["mip_gap"],
                     deadline=(Deadline.from_wire(task["deadline"])
                               if task["deadline"] is not None else None),
-                    shared_best=shared_best, eager=eager)
+                    shared_best=shared_best)
             if shipper is not None:
                 res_w.send(("result", wid, result, shipper.collect()))
             else:
@@ -363,7 +355,7 @@ def _worker_main(wid: int, payload: bytes, task_r, res_w, shared_best,
                 break
 
 
-def pick_context(name: Optional[str] = None) -> mp.context.BaseContext:
+def pick_context() -> mp.context.BaseContext:
     """The multiprocessing context for the worker pool.
 
     ``fork`` gives by far the cheapest start (the compiled model and
@@ -371,7 +363,7 @@ def pick_context(name: Optional[str] = None) -> mp.context.BaseContext:
     service worker thread, say), so it is only auto-picked in
     single-threaded processes. ``REPRO_PARALLEL_BB_CTX`` overrides.
     """
-    name = name or os.environ.get(CTX_ENV)
+    name = os.environ.get(CTX_ENV)
     if name:
         return mp.get_context(name)
     methods = mp.get_all_start_methods()
@@ -405,16 +397,13 @@ class WorkerPool:
     completes with the exact results the workers would have produced.
     """
 
-    def __init__(self, form, workers: int, *, use_cuts: bool = True,
-                 seed: int = 0, eager: bool = False,
+    def __init__(self, form, workers: int, *,
                  inline_fn: Optional[Callable[[Dict[str, Any]],
                                               Dict[str, Any]]] = None,
-                 mp_context: Optional[str] = None, tracer=None,
-                 start_timeout: float = 60.0) -> None:
+                 tracer=None, start_timeout: float = 60.0) -> None:
         self.workers = workers
         self._payload = pickle.dumps(
-            {"form": form, "use_cuts": use_cuts, "seed": seed,
-             "lp_engine": incremental.LP_ENGINE,
+            {"form": form, "lp_engine": incremental.LP_ENGINE,
              # Workers trace iff the coordinating process does; their
              # batches ride back on result messages and are absorbed
              # into this tracer (never touching search determinism).
@@ -422,11 +411,10 @@ class WorkerPool:
              "clock": getattr(tracer, "clock", 0) if tracer is not None
              else 0},
             protocol=pickle.HIGHEST_PROTOCOL)
-        self._eager = eager
         self._inline_fn = inline_fn
         self._tracer = tracer
         self._start_timeout = start_timeout
-        self._ctx = pick_context(mp_context)
+        self._ctx = pick_context()
         self.shared_best = self._ctx.Value("d", math.inf, lock=False)
         self._seats: List[_Seat] = []
         self.steals = 0
@@ -438,8 +426,7 @@ class WorkerPool:
         res_r, res_w = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(wid, self._payload, task_r, res_w, self.shared_best,
-                  self._eager),
+            args=(wid, self._payload, task_r, res_w, self.shared_best),
             daemon=True, name=f"bb-worker-{wid}")
         proc.start()
         task_r.close()

@@ -1,4 +1,4 @@
-"""Presolve: cheap model reductions before the search.
+"""Presolve: cheap reductions of a compiled model before the search.
 
 Three classic, always-safe reductions, iterated to a fixed point:
 
@@ -10,18 +10,23 @@ Three classic, always-safe reductions, iterated to a fixed point:
    never be violated are dropped; rows that can never be *satisfied*
    prove infeasibility immediately.
 
-The pass returns a reduced model plus the set of fixed assignments; it
-never changes the feasible set. The branch-and-bound backends
+The pass never changes the feasible set. It runs on the model's compiled
+form (:mod:`repro.opt.compile`, products already linearized) and returns
+the reduced problem as a :class:`~repro.opt.compile.CompiledModel`
+sliced from those arrays — the free columns with their tightened bounds
+and the surviving rows with the fixed columns folded into their
+right-hand sides — plus the fixed assignments. The reduced form keeps
+the original :class:`~repro.opt.expr.Var` objects, so a solution of it
+plus ``fixed`` is a solution of the model. The branch-and-bound backends
 (``branch_bound`` and ``parallel_bb``) run it first, and it is directly
 useful on the synthesis models, where the coupling equalities fix large
 blocks of ``x`` under the fixed binding policy. The ``highs`` backend
 does not: HiGHS's own presolve repeats every reduction made here.
 
-The round loop runs on the model's cached sparse compilation
-(:mod:`repro.opt.compile`): row activity bounds are two sparse
-matrix-vector products and bound tightening is a vectorized
-scatter-min/-max over the nonzero entries, so a round costs O(nnz)
-numpy work instead of a Python loop over every (row, variable) pair.
+Row activity bounds are two sparse matrix-vector products and bound
+tightening is a vectorized scatter-min/-max over the nonzero entries,
+so a round costs O(nnz) numpy work instead of a Python loop over every
+(row, variable) pair.
 """
 
 from __future__ import annotations
@@ -31,51 +36,45 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 import numpy as np
-from scipy import sparse
 
-from repro.errors import ModelError
 from repro.opt.compile import SENSE_EQ, SENSE_GE, SENSE_LE, CompiledModel
-from repro.opt.expr import Constraint, LinExpr, Sense, Var
+from repro.opt.expr import Var
 from repro.opt.model import Model
 
 _TOL = 1e-9
 _INT_TOL = 1e-6
-
-_SENSE_OF = {SENSE_LE: Sense.LE, SENSE_GE: Sense.GE, SENSE_EQ: Sense.EQ}
+#: Reduction rounds before the loop stops short of a fixed point.
+MAX_ROUNDS = 20
 
 
 @dataclass
 class PresolveResult:
-    """Outcome of a presolve pass."""
+    """Outcome of a presolve pass.
 
-    model: Model                      # reduced model (shares Var objects)
+    ``form`` is the reduced problem over the free columns (None when
+    presolve proved infeasibility); ``fixed`` holds every column whose
+    bounds met, keyed by the model's variables.
+    """
+
+    form: Optional[CompiledModel] = None
     fixed: Dict[Var, float] = field(default_factory=dict)
     proven_infeasible: bool = False
     rounds: int = 0
     dropped_constraints: int = 0
 
-    def extend_solution(self, values: Dict[Var, float]) -> Dict[Var, float]:
-        """Add the presolve-fixed variables back into a solution."""
-        merged = dict(values)
-        merged.update(self.fixed)
-        return merged
 
-
-def presolve(model: Model, max_rounds: int = 20) -> PresolveResult:
-    """Run the reduction loop on a linear model."""
-    if not model.is_linear():
-        raise ModelError("presolve requires a linear model; linearize first")
-
+def presolve(model: Model) -> PresolveResult:
+    """Run the reduction loop on the model's compiled form."""
     compiled: CompiledModel = model.compiled()
     m, n = compiled.m, compiled.n
     lb = compiled.lb.copy()
     ub = compiled.ub.copy()
     is_int = compiled.integrality.astype(bool)
 
-    result = PresolveResult(model=Model(f"{model.name}_presolved"))
+    result = PresolveResult()
     if n == 0 or m == 0:
-        return _assemble(result, model, compiled,
-                         np.ones(m, dtype=bool), lb, ub, rounds=0)
+        return _assemble(result, compiled, np.ones(m, dtype=bool), lb, ub,
+                         rounds=0)
 
     A = compiled.A_csr
     A_csc = A.tocsc()  # column view for the singleton cascade
@@ -95,7 +94,7 @@ def presolve(model: Model, max_rounds: int = 20) -> PresolveResult:
     active = np.ones(m, dtype=bool)
     rounds = 0
     changed = True
-    while changed and rounds < max_rounds:
+    while changed and rounds < MAX_ROUNDS:
         changed = False
         rounds += 1
 
@@ -228,7 +227,7 @@ def presolve(model: Model, max_rounds: int = 20) -> PresolveResult:
                     result.proven_infeasible = True
                     return result
 
-    return _assemble(result, model, compiled, active, lb, ub, rounds)
+    return _assemble(result, compiled, active, lb, ub, rounds)
 
 
 def _scatter_upper(new_ub: np.ndarray, cols: np.ndarray, bound: np.ndarray,
@@ -259,52 +258,19 @@ def _infeasible(result: PresolveResult, compiled: CompiledModel,
     return result
 
 
-def _assemble(result: PresolveResult, model: Model, compiled: CompiledModel,
+def _assemble(result: PresolveResult, compiled: CompiledModel,
               active: np.ndarray, lb: np.ndarray, ub: np.ndarray,
               rounds: int) -> PresolveResult:
-    """Build the reduced model from the final bounds and surviving rows."""
-    reduced = result.model
-    keep: Dict[Var, Var] = {}
-    for v in compiled.variables:
-        if lb[v.index] == ub[v.index]:
-            result.fixed[v] = float(lb[v.index])
-        else:
-            keep[v] = reduced.add_var(v.name, v.vtype,
-                                      float(lb[v.index]), float(ub[v.index]))
-    implied = getattr(model, "_implied_int_names", None)
-    if implied:
-        reduced._implied_int_names = {v.name for v in keep if v.name in implied}
+    """Record the fixed columns and slice the reduced form.
 
-    A = compiled.A_csr
-    indptr, indices, adata = A.indptr, A.indices, A.data
-    for r in np.flatnonzero(active):
-        terms: Dict[Var, float] = {}
-        base = -float(compiled.rhs[r])
-        for j, coef in zip(indices[indptr[r]:indptr[r + 1]],
-                           adata[indptr[r]:indptr[r + 1]]):
-            v = compiled.variables[j]
-            if v in result.fixed:
-                base += coef * result.fixed[v]
-            else:
-                terms[keep[v]] = terms.get(keep[v], 0.0) + float(coef)
-        if not terms:
-            continue  # fully fixed row; feasibility was checked above
-        reduced.add_constr(
-            Constraint(LinExpr(terms, base), _SENSE_OF[int(compiled.senses[r])]),
-            compiled.row_names[r],
-        )
-
-    obj_terms: Dict[Var, float] = {}
-    obj_const = compiled.obj_offset
-    # compiled.c is sign-flipped for maximization; undo it here.
-    c = compiled.c if compiled.minimize else -compiled.c
-    for j in np.flatnonzero(c):
-        v = compiled.variables[j]
-        if v in result.fixed:
-            obj_const += c[j] * result.fixed[v]
-        else:
-            obj_terms[keep[v]] = float(c[j])
-    reduced.set_objective(LinExpr(obj_terms, obj_const),
-                          "min" if compiled.minimize else "max")
+    Active rows left with fixed columns only were checked by the loop,
+    so the slice drops them with the fixed columns.
+    """
+    result.fixed = {
+        v: float(lb[v.index])
+        for v in compiled.variables
+        if lb[v.index] == ub[v.index]
+    }
+    result.form = compiled.reduced(active, lb, ub)
     result.rounds = rounds
     return result

@@ -11,7 +11,11 @@ from repro.opt.result import Solution
 class SolverBackend:
     """Interface every backend implements.
 
-    ``warm_start`` is an optional, already-validated
+    ``model`` is the model as written, possibly with binary products;
+    a backend reads it through :meth:`~repro.opt.model.Model.compiled`,
+    the linear sparse form with products linearized, and returns values
+    for every column of that form (``compiled.variables``, auxiliary
+    product columns included). ``warm_start`` is an optional, already-validated
     :class:`~repro.opt.incremental.WarmStart`; backends that cannot use
     one must accept and ignore it. A warm start may only ever speed a
     search up — status and objective must not depend on it.

@@ -1,18 +1,19 @@
 """MILP backend using scipy's HiGHS interface (:func:`scipy.optimize.milp`).
 
 This is the primary backend: HiGHS is an exact branch-and-cut MILP
-solver, playing the role Gurobi plays in the paper. The model is
-compiled once to sparse range form (``row_lb <= A @ x <= row_ub``, see
-:mod:`repro.opt.compile`) and the compiled arrays are handed to HiGHS
+solver, playing the role Gurobi plays in the paper. The model's
+compiled form (sparse range form ``row_lb <= A @ x <= row_ub`` with
+products linearized, see :mod:`repro.opt.compile`) is handed to HiGHS
 directly — repeated solves of the same model skip the flattening
 entirely.
 
-HiGHS gets the linearized model as it is and runs its own presolve.
+HiGHS gets the compiled arrays as they are and runs its own presolve.
 The one change made on the way is to the ``integrality`` vector:
 implied-integer variables (counters and indicator chains that are
-forced integral by their defining rows, marked by the model builder
-and the linearizer) are relaxed to continuous, which shrinks HiGHS's
-branch set without changing any optimum. Reported values are still
+forced integral by their defining rows, marked by the model builder,
+and the product columns of the linearization) are relaxed to
+continuous, which shrinks HiGHS's branch set without changing any
+optimum. Reported values are still
 rounded per variable type. The repo's own presolve
 (:mod:`repro.opt.presolve`) serves the branch-and-bound backends only:
 HiGHS repeats every reduction it makes.
@@ -71,25 +72,25 @@ class HighsBackend(SolverBackend):
             options=options,
         )
 
-        sol = self._interpret(res, model, compiled.obj_sign, compiled.obj_offset)
+        sol = self._interpret(res, compiled)
         nodes = getattr(res, "mip_node_count", None)
         if nodes is not None:
             sol.counters["nodes"] = int(nodes)
         return sol
 
-    def _interpret(self, res, model: Model, sign: float, obj_const: float) -> Solution:
+    def _interpret(self, res, compiled) -> Solution:
         # scipy milp status codes: 0 optimal, 1 iteration/time limit,
         # 2 infeasible, 3 unbounded, 4 other.
         if res.status == 0 and res.x is not None:
-            values = self._rounded_values(model, res.x)
+            values = self._rounded_values(compiled, res.x)
             # res.fun is the (possibly sign-flipped) minimization value.
-            objective = sign * float(res.fun) + obj_const
+            objective = compiled.report_objective(float(res.fun))
             gap = float(res.mip_gap) if getattr(res, "mip_gap", None) is not None else None
             return Solution(SolveStatus.OPTIMAL, objective, values, solver=self.name, gap=gap)
         if res.status == 1:
             if res.x is not None:
-                values = self._rounded_values(model, res.x)
-                objective = sign * float(res.fun) + obj_const
+                values = self._rounded_values(compiled, res.x)
+                objective = compiled.report_objective(float(res.fun))
                 return Solution(
                     SolveStatus.FEASIBLE, objective, values, solver=self.name,
                     message="time limit reached with incumbent",
@@ -102,12 +103,11 @@ class HighsBackend(SolverBackend):
         return Solution(SolveStatus.ERROR, solver=self.name, message=res.message)
 
     @staticmethod
-    def _rounded_values(model: Model, x: np.ndarray) -> dict:
+    def _rounded_values(compiled, x: np.ndarray) -> dict:
         """Snap integer variables to exact integers (HiGHS returns
         floats, and implied-integer variables were solved relaxed)."""
         values = {}
-        for v in model.variables:
-            raw = float(x[v.index])
+        for v, raw in zip(compiled.variables, x.tolist()):
             if v.vtype is not VarType.CONTINUOUS:
                 raw = float(round(raw))
             values[v] = raw

@@ -11,10 +11,9 @@ The driver of the repo's one branch-and-bound engine
 * every worker owns a persistent warm
   :class:`~repro.opt.incremental.IncrementalLP` plus the clique-cut
   pool, so per-node cost stays at the warm re-solve price;
-* a shared ``multiprocessing.Value`` broadcasts incumbent bounds; the
-  default deterministic mode consumes it only at round boundaries (see
-  the determinism contract in :mod:`repro.opt.parallel`), while
-  ``eager_pruning=True`` lets workers prune against it mid-task;
+* a shared ``multiprocessing.Value`` broadcasts incumbent bounds, and
+  the search consumes it only at round boundaries (see the determinism
+  contract in :mod:`repro.opt.parallel`);
 * a SIGKILLed worker is detected via pipe EOF, its in-flight subtree is
   re-queued (re-running a task is deterministic) and the seat respawned.
 
@@ -26,9 +25,11 @@ budget, so the search is one in-process task and never reaches the
 rounds: that is the ``branch_bound`` backend
 (:mod:`repro.opt.solvers.branch_bound`).
 
-The deadline is checked at every node boundary of a task and between
-rounds. ``max_nodes`` caps every phase-A task and stops the rounds once
-spent.
+The search runs on the presolve-reduced compiled form
+(:func:`repro.opt.presolve.presolve`); the columns presolve fixed are
+added back to the returned values. The deadline is checked at every
+node boundary of a task and between rounds. ``max_nodes`` caps every
+phase-A task and stops the rounds once spent.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ import numpy as np
 
 from repro.deadline import Deadline
 from repro.obs.trace import current_correlation, current_tracer
-from repro.opt.incremental import map_back_solution
 from repro.opt.model import Model
 from repro.opt.parallel import (
     DISPATCH_BATCH,
@@ -70,25 +70,14 @@ class ParallelBranchBoundBackend(SolverBackend):
     name = "parallel_bb"
 
     def __init__(self, workers: Optional[int] = None, *,
-                 max_nodes: int = 200_000, use_presolve: bool = True,
-                 use_cuts: bool = True, eager_pruning: bool = False,
-                 seed: int = 0, root_nodes: int = ROOT_EXPAND_NODES,
-                 batch: int = DISPATCH_BATCH,
-                 task_budget: int = TASK_NODE_BUDGET,
-                 mp_context: Optional[str] = None,
+                 max_nodes: int = 200_000,
+                 root_nodes: int = ROOT_EXPAND_NODES,
                  fault_plan=None) -> None:
         self.workers = workers if workers else default_workers()
         if self.workers < 1:
             self.workers = 1
         self.max_nodes = max_nodes
-        self.use_presolve = use_presolve
-        self.use_cuts = use_cuts
-        self.eager_pruning = eager_pruning
-        self.seed = seed
         self.root_nodes = root_nodes
-        self.batch = batch
-        self.task_budget = task_budget
-        self.mp_context = mp_context
         #: Optional :class:`repro.testing.FaultPlan`; a ``"kill"`` draw
         #: SIGKILLs one busy worker that round (chaos testing).
         self.fault_plan = fault_plan
@@ -105,9 +94,6 @@ class ParallelBranchBoundBackend(SolverBackend):
         # The clock starts here — before presolve — so time_limit bounds
         # the solver's total wall time, not just the tree search.
         deadline = Deadline.start(time_limit)
-        if not self.use_presolve:
-            return self._search(model, deadline, mip_gap, warm_start)
-
         from repro.opt.presolve import presolve
 
         reduction = presolve(model)
@@ -117,19 +103,21 @@ class ParallelBranchBoundBackend(SolverBackend):
                            message="presolve proved infeasibility")
             sol.timings.add("presolve", presolve_s)
             return sol
-        sol = self._search(reduction.model, deadline, mip_gap, warm_start)
-        sol = map_back_solution(sol, model, reduction, self.name)
+        sol = self._search(reduction.form, deadline, mip_gap, warm_start)
+        if sol.values is not None:
+            found, fixed = sol.values, reduction.fixed
+            sol.values = {v: fixed[v] if v in fixed else found[v]
+                          for v in model.compiled().variables}
         sol.timings.add("presolve", presolve_s)
         sol.counters["presolve_fixed"] = len(reduction.fixed)
         return sol
 
-    def _search(self, model: Model, deadline: Deadline, mip_gap: float,
+    def _search(self, form, deadline: Deadline, mip_gap: float,
                 warm_start) -> Solution:
-        if model.num_vars == 0:
-            const = getattr(model.objective, "constant", 0.0)
-            return Solution(SolveStatus.OPTIMAL, const, {}, solver=self.name)
+        if form.n == 0:
+            return Solution(SolveStatus.OPTIMAL, form.obj_offset, {},
+                            solver=self.name)
 
-        form = model.compiled()
         tracer = current_tracer()
         corr = current_correlation()
         # The root task holds the whole budget: one in-process task, no
@@ -139,15 +127,14 @@ class ParallelBranchBoundBackend(SolverBackend):
             coord_span = None
             if tracer is not None and not one_task:
                 coord_span = stack.enter_context(tracer.span(
-                    "parallel_bb", workers=self.workers, batch=self.batch,
-                    task_budget=self.task_budget))
+                    "parallel_bb", workers=self.workers, batch=DISPATCH_BATCH,
+                    task_budget=TASK_NODE_BUDGET))
                 # Named distinctly from the "bb_workers" *result
                 # counter*: synthesize() folds result counters into the
                 # registry as Counters, and one name cannot be both.
                 tracer.metrics.gauge("bb_pool_workers").set(self.workers)
 
-            explorer = SubtreeExplorer(form, use_cuts=self.use_cuts,
-                                       seed=self.seed, solver=self.name)
+            explorer = SubtreeExplorer(form, solver=self.name)
             if tracer is not None and explorer.cuts:
                 tracer.event("cut_round", solver=self.name,
                              cuts=explorer.cuts, kind="clique")
@@ -185,11 +172,8 @@ class ParallelBranchBoundBackend(SolverBackend):
 
             pool: Optional[WorkerPool] = None
             if self.workers > 1 and not one_task:
-                pool = WorkerPool(
-                    form, self.workers, use_cuts=self.use_cuts,
-                    seed=self.seed, eager=self.eager_pruning,
-                    inline_fn=inline_run, mp_context=self.mp_context,
-                    tracer=tracer)
+                pool = WorkerPool(form, self.workers, inline_fn=inline_run,
+                                  tracer=tracer)
                 if pool.start():
                     stack.callback(pool.stop)
                     if tracer is not None:
@@ -245,8 +229,7 @@ class ParallelBranchBoundBackend(SolverBackend):
                 for r in results:
                     for bound, path, chain in r["leftovers"]:
                         if bound < co:
-                            heappush(frontier, (bound,
-                                                path_tie(self.seed, path),
+                            heappush(frontier, (bound, path_tie(path),
                                                 path, chain))
                 if incumbent_val < shared.value:
                     shared.value = incumbent_val
@@ -277,7 +260,7 @@ class ParallelBranchBoundBackend(SolverBackend):
             while (frontier and not deadline.expired()
                    and nodes_total < phase_a_cap
                    and (math.isinf(incumbent_val)
-                        or len(frontier) < self.batch)):
+                        or len(frontier) < DISPATCH_BATCH)):
                 bound, _, path, chain = heappop(frontier)
                 if bound >= cutoff():
                     continue
@@ -297,7 +280,7 @@ class ParallelBranchBoundBackend(SolverBackend):
                     break
                 co = cutoff()
                 batch: List[Tuple[float, tuple, tuple]] = []
-                while frontier and len(batch) < self.batch:
+                while frontier and len(batch) < DISPATCH_BATCH:
                     bound, _, path, chain = heappop(frontier)
                     if bound >= co:
                         continue
@@ -313,7 +296,7 @@ class ParallelBranchBoundBackend(SolverBackend):
                 # incumbent (frozen per round for determinism) refreshes
                 # quickly; later rounds amortize coordination. A pure
                 # function of the round index — never of worker count.
-                budget = min(self.task_budget, 8 << (rounds - 1))
+                budget = min(TASK_NODE_BUDGET, 8 << (rounds - 1))
                 dispatches = [
                     {"chain": chain, "path": path, "incumbent": incumbent_val,
                      "budget": budget, "mip_gap": mip_gap, "deadline": wire,

@@ -14,7 +14,6 @@ from repro.core import (
 from repro.core.builder import SynthesisModelBuilder
 from repro.core.synthesizer import SynthesisOptions, build_catalog
 from repro.opt.incremental import IncrementalLP
-from repro.opt.linearize import linearize
 from repro.switches import CrossbarSwitch
 
 
@@ -156,7 +155,7 @@ def _stub_rows(model):
 
 def _root_bound(model):
     """The LP relaxation bound of ``model`` with integrality dropped."""
-    form = linearize(model)[0].compiled()
+    form = model.compiled()
     res = IncrementalLP(form).solve()
     assert res.status == 0
     return form.obj_sign * res.fun + form.obj_offset

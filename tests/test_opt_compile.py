@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ModelError
+from repro.errors import LinearizationError
 from repro.opt import Model, VarType
 from repro.opt.compile import SENSE_EQ, SENSE_GE, SENSE_LE, compile_model
 
@@ -114,12 +114,27 @@ def test_objective_constant_and_sign():
     assert compiled.report_objective(-8.0) == pytest.approx(11.0)
 
 
-def test_quadratic_model_rejected():
+def test_binary_product_compiles_to_linearization():
+    """A binary product becomes one auxiliary column and its three rows;
+    a product with a non-binary, unbounded factor is refused."""
     m = Model()
     x, y = m.add_binary("x"), m.add_binary("y")
-    m.add_constr(x * y <= 1)
-    with pytest.raises(ModelError):
-        m.compiled()
+    m.add_constr(x * y <= 1, "cap")
+    compiled = m.compiled()
+    assert compiled.n == 3 and compiled.m == 4
+    assert compiled.row_names[-1] == "cap"
+    dense = compiled.A_csr.toarray()
+    np.testing.assert_allclose(dense, [[-1, 0, 1], [0, -1, 1],
+                                       [-1, -1, 1], [0, 0, 1]])
+    assert list(compiled.senses) == [SENSE_LE, SENSE_LE, SENSE_GE, SENSE_LE]
+    np.testing.assert_allclose(compiled.rhs, [0, 0, -1, 1])
+
+    q = Model()
+    b = q.add_binary("b")
+    w = q.add_var("w", VarType.CONTINUOUS, 0.0, 2.0)
+    q.add_constr(b * w <= 1)
+    with pytest.raises(LinearizationError):
+        q.compiled()
 
 
 def test_empty_model_compiles():
@@ -134,3 +149,27 @@ def test_solution_dict_roundtrip():
     compiled = m.compiled()
     values = compiled.solution_dict(np.array([1.0, 2.0, 1.0]))
     assert values[x] == 1.0 and values[y] == 2.0 and values[z] == 1.0
+
+
+@pytest.mark.parametrize("backend", ["highs", "branch_bound"])
+def test_quadratic_solve_builds_no_second_model(backend, monkeypatch):
+    """Linearization and presolve work on the compiled arrays: solving a
+    quadratic model constructs no further Model."""
+    m = Model("quad")
+    x, y = m.add_binary("x"), m.add_binary("y")
+    z = m.add_integer("z", 0, 3)
+    m.add_constr(x + y <= 1 + z)
+    m.add_constr(x * y + x * z <= 2)
+    m.set_objective(x * y + 2 * x + y + z, "max")
+    built = []
+    init = Model.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "__init__", counting_init)
+    sol = m.solve(backend=backend)
+    assert sol.is_optimal and sol.objective == pytest.approx(5.0)
+    assert set(sol.values) == {x, y, z}
+    assert built == []

@@ -17,7 +17,6 @@ from repro.opt.cuts import (
     cut_rows,
 )
 from repro.opt.incremental import IncrementalLP
-from repro.opt.linearize import linearize
 from repro.opt.solvers.branch_bound import BranchBoundBackend
 
 
@@ -111,8 +110,7 @@ def test_clique_rows_never_cut_off_integral_optimum_8pin():
     # cut derived from the strengthened compiled form.
     catalog = build_catalog(spec, options)
     built = SynthesisModelBuilder(spec, catalog).build()
-    lin, _ = linearize(built.model)
-    form = lin.compiled()
+    form = built.model.compiled()
     for clique in clique_cuts(form):
         names = [form.variables[j].name for j in clique]
         # Map names onto the usage indicators of the plain solution: a
@@ -146,7 +144,7 @@ def test_branch_bound_with_cuts_matches_highs_on_conflict_case():
 
 def test_branch_bound_cut_counter_reported():
     m, _ = _triangle_model()
-    sol = BranchBoundBackend(use_presolve=False).solve(m)
+    sol = BranchBoundBackend().solve(m)
     assert sol.status is SolveStatus.OPTIMAL
     assert sol.objective == pytest.approx(1.0)
     assert sol.counters["cuts"] == 1

@@ -21,7 +21,6 @@ from repro.core.builder import SynthesisModelBuilder
 from repro.core.synthesizer import build_catalog
 from repro.opt import Model, incremental
 from repro.opt.incremental import IncrementalLP
-from repro.opt.linearize import linearize
 
 needs_highs = pytest.mark.skipif(
     incremental._HIGHS is None, reason="scipy lacks the HiGHS binding")
@@ -38,7 +37,7 @@ def form():
                          n_conflicts=1, binding=BindingPolicy.CLOCKWISE)
     built = SynthesisModelBuilder(
         spec, build_catalog(spec, SynthesisOptions())).build()
-    return linearize(built.model)[0].compiled()
+    return built.model.compiled()
 
 
 def _fractional(form, x):

@@ -1,4 +1,4 @@
-"""Unit tests for exact product linearization (repro.opt.linearize)."""
+"""Unit tests for exact product linearization (in repro.opt.compile)."""
 
 import itertools
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import LinearizationError
 from repro.opt import Model, VarType, quicksum
-from repro.opt.linearize import linearize
 
 
 def brute_force_binary(model):
@@ -34,22 +33,28 @@ def test_binary_product_linearization_exact():
     m = Model()
     x, y = m.add_binary("x"), m.add_binary("y")
     m.add_constr(x * y >= 1)
-    lin, products = linearize(m)
-    assert lin.is_linear()
-    assert len(products) == 1
-    sol = lin.solve()
+    form = m.compiled()
+    assert len(form.products) == 1
+    (z,) = form.products.values()
+    assert z.name == "_lin_x*y" and form.variables[-1] is z
+    assert form.implied[z.index]          # never branched on
+    assert form.row_names == ["_lz1__lin_x*y", "_lz2__lin_x*y",
+                              "_lz3__lin_x*y", "c0"]
+    sol = m.solve()
     assert sol.value(x) == 1 and sol.value(y) == 1
+    assert z not in sol.values            # auxiliary columns are stripped
 
 
 def test_square_of_binary_is_itself():
     m = Model()
     x = m.add_binary("x")
     m.add_constr(x * x >= 1)
-    lin, products = linearize(m)
-    sol = lin.solve()
+    form = m.compiled()
+    sol = m.solve()
     assert sol.value(x) == 1
     # no auxiliary variable should have been created
-    assert all(z is x for z in products.values())
+    assert all(z is x for z in form.products.values())
+    assert form.n == 1 and form.m == 1
 
 
 def test_square_of_integer_rejected():
@@ -57,7 +62,7 @@ def test_square_of_integer_rejected():
     z = m.add_integer("z", 0, 5)
     m.add_constr(z * z <= 4)
     with pytest.raises(LinearizationError):
-        linearize(m)
+        m.compiled()
 
 
 def test_product_cache_shared_across_constraints():
@@ -66,8 +71,13 @@ def test_product_cache_shared_across_constraints():
     m.add_constr(x * y <= 1)
     m.add_constr(x * y >= 0)
     m.set_objective(x * y, "min")
-    lin, products = linearize(m)
-    assert len(products) == 1  # one aux var reused everywhere
+    form = m.compiled()
+    assert len(form.products) == 1  # one aux var reused everywhere
+    assert form.n == 3
+    # its three rows come once, before the first constraint using it
+    assert form.row_names[:3] == ["_lz1__lin_x*y", "_lz2__lin_x*y",
+                                  "_lz3__lin_x*y"]
+    assert form.m == 5
 
 
 def test_binary_times_bounded_integer():
@@ -78,6 +88,11 @@ def test_binary_times_bounded_integer():
     # maximize b*z subject to b*z <= 5 forces b=1, z in [3,5]
     m.add_constr(b * z <= 5)
     m.set_objective(b * z, "max")
+    form = m.compiled()
+    (aux,) = form.products.values()
+    assert aux.vtype is VarType.INTEGER and (aux.lb, aux.ub) == (0, 7)
+    assert [n[:5] for n in form.row_names[1:5]] == [
+        "_lz1_", "_lz2_", "_lz3_", "_lz4_"]
     sol = m.solve()
     assert sol.objective == pytest.approx(5)
     assert sol.value(b) == 1
@@ -90,7 +105,7 @@ def test_unbounded_product_rejected():
     z = m.add_integer("z", 0)  # unbounded above
     m.add_constr(b * z <= 5)
     with pytest.raises(LinearizationError):
-        linearize(m)
+        m.compiled()
 
 
 def test_continuous_product_rejected():
@@ -99,7 +114,7 @@ def test_continuous_product_rejected():
     c2 = m.add_var("c2", VarType.CONTINUOUS, 0, 1)
     m.add_constr(c1 * c2 <= 1)
     with pytest.raises(LinearizationError):
-        linearize(m)
+        m.compiled()
 
 
 @pytest.mark.parametrize("seed", range(6))

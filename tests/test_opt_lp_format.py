@@ -66,6 +66,28 @@ def test_quadratic_model_linearized_on_export():
     assert "End" in text
 
 
+def test_quadratic_export_one_column_per_product():
+    """Each distinct product is one ``_lin_`` column with its ``_lz``
+    rows, however often the product occurs."""
+    m = Model("quad")
+    x, y = m.add_binary("x"), m.add_binary("y")
+    z = m.add_integer("z", 0, 4)
+    m.add_constr(x * y >= 1, "both")
+    m.add_constr(x * y + x * z <= 3, "mixed")
+    m.set_objective(x * y + 2 * (x * z), "max")
+    text = model_to_lp(m)
+    assert text.startswith("\\ model: quad\n")
+    binaries = text.split("Binaries\n")[1].split("\n")[0].split()
+    generals = text.split("Generals\n")[1].split("\n")[0].split()
+    assert [t for t in binaries if t.startswith("_lin_")] == ["_lin_x_y"]
+    assert [t for t in generals if t.startswith("_lin_")] == ["_lin_x_z"]
+    rows = [line.split(":")[0].strip() for line in text.splitlines()
+            if line.startswith(" _lz")]
+    assert rows == ["_lz1__lin_x_y", "_lz2__lin_x_y", "_lz3__lin_x_y",
+                    "_lz1__lin_x_z", "_lz2__lin_x_z", "_lz3__lin_x_z",
+                    "_lz4__lin_x_z"]
+
+
 def test_unbounded_integer_bounds():
     m = Model()
     m.add_integer("free", 0)  # ub = +inf

@@ -1,14 +1,34 @@
 """Tests for the presolve pass (repro.opt.presolve)."""
 
-import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import Bounds, LinearConstraint, milp
 
-from repro.errors import ModelError
-from repro.opt import Model, SolveStatus, VarType, quicksum
+from repro.opt import Model, SolveStatus, quicksum
 from repro.opt.presolve import presolve
+
+
+def solve_form(form):
+    """Optimize a compiled form with scipy's MILP solver.
+
+    Returns ``(status, objective, values)``: status ``"optimal"`` or
+    ``"infeasible"``, the user-space objective and the values by
+    variable (None when infeasible).
+    """
+    if form.n == 0:
+        return "optimal", form.obj_offset, {}
+    rows = ([LinearConstraint(form.A_csr, form.row_lb, form.row_ub)]
+            if form.m else [])
+    res = milp(form.c, constraints=rows, bounds=Bounds(form.lb, form.ub),
+               integrality=form.integrality)
+    if res.status == 2:
+        return "infeasible", None, None
+    assert res.status == 0, res.message
+    return ("optimal", form.report_objective(float(res.fun)),
+            form.solution_dict(np.round(res.x)))
 
 
 def test_singleton_equality_fixes_variable():
@@ -21,9 +41,9 @@ def test_singleton_equality_fixes_variable():
     res = presolve(m)
     assert not res.proven_infeasible
     assert res.fixed == {x: 3.0}
-    assert res.model.num_vars == 1
-    sol = res.model.solve()
-    assert sol.objective == pytest.approx(5)  # y <= 8 - 3
+    assert res.form.n == 1 and res.form.variables == [y]
+    _, objective, _ = solve_form(res.form)
+    assert objective == pytest.approx(5)  # y <= 8 - 3
 
 
 def test_bound_tightening():
@@ -32,10 +52,10 @@ def test_bound_tightening():
     m.add_constr(3 * x <= 10)   # x <= 3 (integer floor)
     m.add_constr(2 * x >= 3)    # x >= 2 (integer ceil)
     res = presolve(m)
-    (nx,) = res.model.variables
-    assert nx.lb == 2 and nx.ub == 3
+    assert res.form.variables == [x]
+    assert res.form.lb[0] == 2 and res.form.ub[0] == 3
     # both rows became redundant after tightening
-    assert res.model.num_constraints == 0
+    assert res.form.m == 0
 
 
 def test_infeasibility_detected():
@@ -60,10 +80,11 @@ def test_redundant_constraints_dropped():
     m.add_constr(x >= -3)       # vacuous
     res = presolve(m)
     assert res.dropped_constraints == 2
-    assert res.model.num_constraints == 0
+    assert res.form.m == 0
 
 
 def test_extend_solution():
+    """A solution of the reduced form plus ``fixed`` covers the model."""
     m = Model()
     x = m.add_integer("x", 0, 10)
     y = m.add_integer("y", 0, 10)
@@ -71,11 +92,10 @@ def test_extend_solution():
     m.add_constr(y >= 2)
     m.set_objective(y, "min")
     res = presolve(m)
-    sol = res.model.solve()
-    values = res.extend_solution({v: sol.value(v) for v in res.model.variables})
-    by_name = {v.name: val for v, val in values.items()}
-    assert by_name["x"] == 4.0
-    assert by_name["y"] == 2.0
+    _, _, values = solve_form(res.form)
+    values.update(res.fixed)
+    assert values == {x: 4.0, y: 2.0}
+    assert not m.check_assignment(values)
 
 
 def test_objective_constant_folded():
@@ -86,17 +106,24 @@ def test_objective_constant_folded():
     m.add_constr(y >= 1)
     m.set_objective(3 * x + y, "min")
     res = presolve(m)
-    sol = res.model.solve()
-    # objective in the reduced model must account for the fixed 3*4
-    assert sol.objective == pytest.approx(13)
+    _, objective, _ = solve_form(res.form)
+    # objective in the reduced form must account for the fixed 3*4
+    assert objective == pytest.approx(13)
 
 
-def test_quadratic_model_rejected():
+def test_quadratic_model_presolved_on_its_linearization():
+    """Presolve reads the compiled form, products linearized: forcing
+    the product to 1 fixes both factors and the product column."""
     m = Model()
     x, y = m.add_binary("x"), m.add_binary("y")
-    m.add_constr(x * y <= 1)
-    with pytest.raises(ModelError):
-        presolve(m)
+    m.add_constr(x * y >= 1)
+    m.set_objective(x + y, "min")
+    res = presolve(m)
+    assert not res.proven_infeasible
+    names = {v.name: val for v, val in res.fixed.items()}
+    assert names == {"x": 1.0, "y": 1.0, "_lin_x*y": 1.0}
+    assert res.form.n == 0 and res.form.m == 0
+    assert res.form.report_objective(0.0) == pytest.approx(2.0)
 
 
 def test_chained_propagation():
@@ -111,12 +138,12 @@ def test_chained_propagation():
     res = presolve(m)
     names = {v.name: val for v, val in res.fixed.items()}
     assert names == {"a": 2.0, "b": 3.0, "c": 1.0}
-    assert res.model.num_vars == 0
+    assert res.form.n == 0
 
 
 def test_constraint_emptied_by_fixing_is_dropped():
     """A row whose variables all get fixed degenerates to a constant
-    check; consistent rows vanish from the reduced model."""
+    check; consistent rows vanish from the reduced form."""
     m = Model()
     x = m.add_integer("x", 0, 10)
     y = m.add_integer("y", 0, 10)
@@ -125,8 +152,8 @@ def test_constraint_emptied_by_fixing_is_dropped():
     m.add_constr(x + y <= 9)       # becomes 5 <= 9 once both are fixed
     res = presolve(m)
     assert not res.proven_infeasible
-    assert res.model.num_vars == 0
-    assert res.model.num_constraints == 0
+    assert res.form.n == 0
+    assert res.form.m == 0
     names = {v.name: val for v, val in res.fixed.items()}
     assert names == {"x": 2.0, "y": 3.0}
 
@@ -161,7 +188,7 @@ def test_activity_infeasible_row_detected():
 
 
 def test_all_variables_fixed_model():
-    """Every variable pinned: the reduced model is empty and its
+    """Every variable pinned: the reduced form is empty and its
     objective is the folded constant."""
     m = Model()
     x = m.add_integer("x", 0, 10)
@@ -170,12 +197,10 @@ def test_all_variables_fixed_model():
     m.add_constr(y == 1)
     m.set_objective(2 * x + 5 * y, "min")
     res = presolve(m)
-    assert res.model.num_vars == 0
-    assert res.model.num_constraints == 0
-    sol = res.model.solve()
-    assert sol.objective == pytest.approx(19)
-    values = res.extend_solution({})
-    assert {v.name: val for v, val in values.items()} == {"x": 7.0, "y": 1.0}
+    assert res.form.n == 0
+    assert res.form.m == 0
+    assert res.form.report_objective(0.0) == pytest.approx(19)
+    assert res.fixed == {x: 7.0, y: 1.0}
 
 
 def _random_small_model(seed: int) -> Model:
@@ -200,18 +225,66 @@ def _random_small_model(seed: int) -> Model:
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=20_000))
 def test_presolve_preserves_optimum(seed):
-    """Property: solving the presolved model (plus fixed variables)
-    gives exactly the original optimum, including infeasibility."""
+    """Property: solving the presolved form (plus fixed variables)
+    gives exactly the original optimum, including infeasibility, and so
+    does branch_bound, which searches that form."""
     original = _random_small_model(seed)
     baseline = original.solve(backend="highs")
+    searched = _random_small_model(seed).solve(backend="branch_bound")
+    assert searched.status is baseline.status
+    if baseline.status is SolveStatus.OPTIMAL:
+        assert searched.objective == pytest.approx(baseline.objective)
 
-    res = presolve(_random_small_model(seed))
+    res = presolve(original)
     if res.proven_infeasible:
         assert baseline.status is SolveStatus.INFEASIBLE
         return
-    reduced_sol = res.model.solve(backend="highs")
+    status, objective, values = solve_form(res.form)
     if baseline.status is SolveStatus.INFEASIBLE:
-        assert reduced_sol.status is SolveStatus.INFEASIBLE
+        assert status == "infeasible"
         return
-    assert reduced_sol.status is SolveStatus.OPTIMAL
-    assert reduced_sol.objective == pytest.approx(baseline.objective)
+    assert status == "optimal"
+    assert objective == pytest.approx(baseline.objective)
+    values.update(res.fixed)
+    assert not original.check_assignment(values)
+
+
+def _loop_fold(compiled, fixed):
+    """Reference for the reduced form's arithmetic: each row with a free
+    column gets its right-hand side with the fixed columns folded in,
+    one CSR entry at a time, and the objective offset likewise."""
+    A = compiled.A_csr
+    rhs = {}
+    for r in range(compiled.m):
+        base = -float(compiled.rhs[r])
+        live = False
+        for k in range(A.indptr[r], A.indptr[r + 1]):
+            v = compiled.variables[A.indices[k]]
+            if v in fixed:
+                base += A.data[k] * fixed[v]
+            else:
+                live = True
+        if live:
+            rhs[compiled.row_names[r]] = -base
+    c = compiled.c if compiled.minimize else -compiled.c
+    offset = compiled.obj_offset
+    for j in np.flatnonzero(c):
+        if compiled.variables[j] in fixed:
+            offset += c[j] * fixed[compiled.variables[j]]
+    return rhs, float(offset)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=20_000))
+def test_reduced_form_matches_loop_fold(seed):
+    """The vectorized slice reproduces the loop's sums bit for bit."""
+    m = _random_small_model(seed)
+    res = presolve(m)
+    if res.proven_infeasible:
+        return
+    rhs, offset = _loop_fold(m.compiled(), res.fixed)
+    form = res.form
+    assert form.obj_offset.hex() == offset.hex()
+    assert set(form.row_names) <= set(rhs)
+    for name, value in zip(form.row_names, form.rhs):
+        assert float(value).hex() == float(rhs[name]).hex()

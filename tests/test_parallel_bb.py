@@ -12,6 +12,7 @@ import math
 import os
 import random
 import signal
+import zlib
 
 import numpy as np
 import pytest
@@ -108,16 +109,6 @@ def test_agrees_with_highs_on_random_models(seed):
     assert sol.status is ref.status
     if ref.status is SolveStatus.OPTIMAL:
         assert sol.objective == pytest.approx(ref.objective)
-
-
-def test_eager_pruning_same_objective():
-    """Eager mode trades counter determinism for speed — never the
-    optimum."""
-    ref = knapsack_hard().solve(backend="parallel_bb:1")
-    eager = ParallelBranchBoundBackend(2, eager_pruning=True)
-    sol = eager.solve(knapsack_hard())
-    assert sol.status is SolveStatus.OPTIMAL
-    assert sol.objective == pytest.approx(ref.objective)
 
 
 def test_infeasible_detected():
@@ -297,9 +288,12 @@ def test_backend_registry_and_spec_strings():
 # ----------------------------------------------------------------------
 
 def test_path_tie_is_pure_function_of_identity():
-    assert path_tie(0, (1, 2, 3)) == path_tie(0, (1, 2, 3))
-    assert path_tie(0, (1, 2, 3)) != path_tie(1, (1, 2, 3))
-    assert path_tie(0, (1, 2)) != path_tie(0, (2, 1))
+    assert path_tie((1, 2, 3)) == path_tie((1, 2, 3))
+    assert path_tie((1, 2)) != path_tie((2, 1))
+    # the hashed bytes are a leading 0 and the path, as they always were,
+    # so node_order_hash values stay comparable across versions
+    data = np.asarray((0, 1, 2, 3), dtype=np.int64).tobytes()
+    assert path_tie((1, 2, 3)) == zlib.crc32(data)
 
 
 def test_most_fractional_branching():
@@ -317,8 +311,8 @@ def test_most_fractional_branching():
 
 def test_subtree_explorer_task_is_deterministic():
     form = knapsack_hard().compiled()
-    a = SubtreeExplorer(form, seed=0).run_task((), (), node_budget=40)
-    b = SubtreeExplorer(form, seed=0).run_task((), (), node_budget=40)
+    a = SubtreeExplorer(form).run_task((), (), node_budget=40)
+    b = SubtreeExplorer(form).run_task((), (), node_budget=40)
     assert a["nodes"] == b["nodes"] > 0
     assert a["order"] == b["order"]
     assert a["lp_calls"] == b["lp_calls"]

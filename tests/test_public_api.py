@@ -59,7 +59,7 @@ def test_subpackages_importable_with_all(module):
 
 
 @pytest.mark.parametrize("module", [
-    "repro.opt.expr", "repro.opt.model", "repro.opt.linearize",
+    "repro.opt.expr", "repro.opt.model", "repro.opt.compile",
     "repro.core.builder", "repro.core.synthesizer", "repro.core.spec",
     "repro.core.pressure", "repro.core.valves", "repro.core.verify",
     "repro.switches.crossbar", "repro.switches.paths",
