@@ -77,6 +77,7 @@ class SynthesisModelBuilder:
         self.spec = spec
         self.catalog = catalog
         self.switch = spec.switch
+        self._path_site_lists: Dict[int, List[Site]] = {}
 
     # ------------------------------------------------------------------
     def build(self) -> BuiltModel:
@@ -131,12 +132,17 @@ class SynthesisModelBuilder:
         return site_list
 
     def _path_sites(self, path: Path) -> List[Site]:
-        if self.spec.node_policy is NodePolicy.PAPER:
-            nodes = path.major_nodes(self.switch)
-        else:
-            nodes = path.nodes
-        result: List[Site] = [("node", n) for n in nodes]
-        result.extend(("seg", key) for key in path.segments)
+        """The sites ``path`` touches, derived once per catalog path
+        (under free binding every flow shares the whole catalog)."""
+        result = self._path_site_lists.get(path.index)
+        if result is None:
+            if self.spec.node_policy is NodePolicy.PAPER:
+                nodes = path.major_nodes(self.switch)
+            else:
+                nodes = path.nodes
+            result = [("node", n) for n in nodes]
+            result.extend(("seg", key) for key in path.segments)
+            self._path_site_lists[path.index] = result
         return result
 
     def _allowed_paths(self) -> Dict[int, List[Path]]:
@@ -448,7 +454,7 @@ class SynthesisModelBuilder:
             for p in paths[1:]:
                 if not common:
                     break
-                common = common & frozenset(self._path_sites(p))
+                common = common.intersection(self._path_sites(p))
             if common:
                 mandatory[f.id] = common
                 source_of[f.id] = f.source

@@ -31,8 +31,7 @@ from repro.core.valves import analyze_valves
 from repro.core.pressure import share_pressure
 from repro.core.verify import verify_result
 from repro.deadline import Deadline
-from repro.switches.base import segment_key
-from repro.switches.paths import Path
+from repro.switches.paths import Path, path_from_vertices
 from repro.switches.reduce import reduce_switch
 
 
@@ -111,7 +110,7 @@ def _greedy_binding(spec: SwitchSpec) -> Optional[Dict[str, str]]:
                 return None
             binding[m] = pin
             taken.add(pin)
-        return binding
+        return _into_symmetry_arc(spec, binding)
     # unfixed: put each source right before its targets around the cycle
     ordered: List[str] = []
     for f in spec.flows:
@@ -122,7 +121,26 @@ def _greedy_binding(spec: SwitchSpec) -> Optional[Dict[str, str]]:
     for m in spec.modules:
         if m not in ordered:
             ordered.append(m)
-    return {m: pins[i] for i, m in enumerate(ordered)}
+    return _into_symmetry_arc(spec, {m: pins[i] for i, m in enumerate(ordered)})
+
+
+def _into_symmetry_arc(spec: SwitchSpec, binding: Dict[str, str]) -> Dict[str, str]:
+    """Rotate a free binding so the first module sits in the first arc.
+
+    The exact model keeps only solutions whose first module is bound in
+    the first ``n_pins // rotation_order`` pins (its rotation symmetry
+    row). Rotating every pin by a multiple of that arc is a
+    length-preserving automorphism of the switch, so the rotated binding
+    is as good and stays usable as the exact solvers' warm start.
+    """
+    pins = spec.switch.pins
+    rot = spec.switch.rotation_order
+    if rot <= 1 or not spec.modules or spec.modules[0] not in binding:
+        return binding
+    arc = len(pins) // rot
+    position = {p: i for i, p in enumerate(pins)}
+    shift = position[binding[spec.modules[0]]] // arc * arc
+    return {m: pins[(position[p] - shift) % len(pins)] for m, p in binding.items()}
 
 
 def _constraint_nodes(spec: SwitchSpec, vertices) -> Set[str]:
@@ -158,16 +176,7 @@ def _greedy_routing(spec: SwitchSpec,
             vertices = nx.shortest_path(graph, src, dst, weight="length")
         except (nx.NetworkXNoPath, nx.NodeNotFound):
             return None
-        segs = frozenset(segment_key(a, b) for a, b in zip(vertices, vertices[1:]))
-        flow_paths[f.id] = Path(
-            index=next(counter),
-            source_pin=src,
-            target_pin=dst,
-            vertices=tuple(vertices),
-            nodes=frozenset(v for v in vertices if not switch.is_pin(v)),
-            segments=segs,
-            length=sum(switch.segments[k].length for k in segs),
-        )
+        flow_paths[f.id] = path_from_vertices(switch, next(counter), vertices)
     return flow_paths
 
 

@@ -93,7 +93,8 @@ class CompiledModel:
         implied_names = getattr(model, "_implied_int_names", None) or ()
         implied = [v.name in implied_names for v in variables]
         products: Dict[Tuple[Var, Var], Var] = {}
-        rows: List[int] = []
+        # Row r holds entries counts[r] of cols/data, in row order.
+        counts: List[int] = []
         cols: List[int] = []
         data: List[float] = []
         senses: List[int] = []
@@ -103,8 +104,7 @@ class CompiledModel:
         def add_row(terms: Dict[int, float], const: float, sense: int,
                     name: str) -> None:
             """Append one row; ``terms`` maps columns to nonzero coefficients."""
-            r = len(names)
-            rows.extend([r] * len(terms))
+            counts.append(len(terms))
             cols.extend(terms)
             data.extend(terms.values())
             senses.append(sense)
@@ -180,8 +180,14 @@ class CompiledModel:
 
         for constr in model.constraints:
             terms, const = linear_terms(constr.expr)
-            add_row({v.index: coef for v, coef in terms.items()}, const,
-                    _SENSE_CODE[constr.sense], constr.name)
+            # A model's variables have distinct indices, so the row's
+            # columns come straight from its (nonzero) terms.
+            counts.append(len(terms))
+            cols.extend([v.index for v in terms])
+            data.extend(terms.values())
+            senses.append(_SENSE_CODE[constr.sense])
+            consts.append(const)
+            names.append(constr.name)
         obj_terms, obj_const = linear_terms(model.objective)
 
         self.variables: List[Var] = variables
@@ -206,7 +212,8 @@ class CompiledModel:
         # once the true decision variables are — the branch set can skip
         # them (see Model.mark_implied_integer).
         self.implied = np.array(implied, dtype=bool)
-        self._set_rows(np.asarray(rows, dtype=np.int64),
+        self._set_rows(np.repeat(np.arange(len(counts), dtype=np.int64),
+                                 counts),
                        np.asarray(cols, dtype=np.int64),
                        np.asarray(data, dtype=np.float64),
                        np.asarray(senses, dtype=np.int8),

@@ -74,51 +74,52 @@ class Var:
     # -- conversions ---------------------------------------------------
     def to_linexpr(self) -> "LinExpr":
         """Return this variable as a one-term linear expression."""
-        return LinExpr({self: 1.0}, 0.0)
+        return _lin({self: 1.0}, 0.0)
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other: ExprLike) -> ExprLike:
-        return self.to_linexpr() + other
+        return _lin({self: 1.0}, 0.0) + other
 
     __radd__ = __add__
 
     def __sub__(self, other: ExprLike) -> ExprLike:
-        return self.to_linexpr() - other
+        return _lin({self: 1.0}, 0.0) - other
 
     def __rsub__(self, other: ExprLike) -> ExprLike:
-        return (-self.to_linexpr()) + other
+        return _lin({self: -1.0}, -0.0) + other   # (-1.0 * self) + other
 
     def __neg__(self) -> "LinExpr":
-        return LinExpr({self: -1.0}, 0.0)
+        return _lin({self: -1.0}, 0.0)
 
     def __mul__(self, other: ExprLike) -> ExprLike:
         if isinstance(other, (int, float)):
-            return LinExpr({self: float(other)}, 0.0)
+            coef = float(other)
+            return _lin({self: coef} if coef != 0 else {}, 0.0)
         if isinstance(other, Var):
-            return QuadExpr({_key(self, other): 1.0}, {}, 0.0)
+            return _quad({_key(self, other): 1.0}, {}, 0.0)
         if isinstance(other, (LinExpr, QuadExpr)):
-            return self.to_linexpr() * other
+            return _lin({self: 1.0}, 0.0) * other
         return NotImplemented
 
     __rmul__ = __mul__
 
     # -- comparisons build constraints ----------------------------------
     def __le__(self, other: ExprLike) -> "Constraint":
-        return self.to_linexpr() <= other
+        return Constraint(_lin({self: 1.0}, 0.0) - other, Sense.LE)
 
     def __ge__(self, other: ExprLike) -> "Constraint":
-        return self.to_linexpr() >= other
+        return Constraint(_lin({self: 1.0}, 0.0) - other, Sense.GE)
 
     def __eq__(self, other: object):  # type: ignore[override]
-        if isinstance(other, (int, float, Var, LinExpr, QuadExpr)):
-            return self.to_linexpr() == other
+        if isinstance(other, _OPERANDS):
+            return Constraint(_lin({self: 1.0}, 0.0) - other, Sense.EQ)
         return NotImplemented
 
-    def __hash__(self) -> int:
-        # Identity hash: Var objects are unique per (model, index), and an
-        # id-based hash guarantees dict lookups never fall back to __eq__
-        # (which builds a Constraint rather than returning a bool).
-        return id(self)
+    # Identity hash: Var objects are unique per (model, index), and an
+    # identity hash guarantees dict lookups never fall back to __eq__
+    # (which builds a Constraint rather than returning a bool). Bound to
+    # object's own slot, so hashing never runs Python code.
+    __hash__ = object.__hash__
 
     def __repr__(self) -> str:
         return f"Var({self.name!r})"
@@ -129,36 +130,43 @@ def _key(a: Var, b: Var) -> Tuple[Var, Var]:
     return (a, b) if a.index <= b.index else (b, a)
 
 
-def _as_quad(value: ExprLike) -> "QuadExpr":
-    """Coerce any expression-like value into a QuadExpr."""
-    if isinstance(value, QuadExpr):
-        return value
-    if isinstance(value, LinExpr):
-        return QuadExpr({}, dict(value.terms), value.constant)
-    if isinstance(value, Var):
-        return QuadExpr({}, {value: 1.0}, 0.0)
-    if isinstance(value, (int, float)):
-        return QuadExpr({}, {}, float(value))
-    raise TypeError(f"cannot interpret {value!r} as an expression")
+def _nonzero(terms: Dict) -> Dict:
+    """``terms`` without its zero coefficients, in the same order.
+
+    Returns ``terms`` itself when it holds no zero (the common case,
+    checked in C), so only sums, where terms can cancel, pay for a copy.
+    """
+    if all(terms.values()):
+        return terms
+    return {k: c for k, c in terms.items() if c != 0}
 
 
-def _as_lin(value: ExprLike) -> "LinExpr":
-    """Coerce any linear expression-like value into a LinExpr."""
-    if isinstance(value, LinExpr):
-        return value
-    if isinstance(value, Var):
-        return value.to_linexpr()
-    if isinstance(value, (int, float)):
-        return LinExpr({}, float(value))
-    if isinstance(value, QuadExpr):
-        if value.quad_terms:
-            raise ModelError("expression is quadratic where a linear one is required")
-        return LinExpr(dict(value.lin_terms), value.constant)
-    raise TypeError(f"cannot interpret {value!r} as a linear expression")
+def _lin(terms: Dict[Var, float], constant: float) -> "LinExpr":
+    """A LinExpr that owns ``terms`` as given: float, nonzero, no copy."""
+    expr = object.__new__(LinExpr)
+    expr.terms = terms
+    expr.constant = constant
+    return expr
+
+
+def _quad(quad_terms: Dict[Tuple[Var, Var], float], lin_terms: Dict[Var, float],
+          constant: float) -> "QuadExpr":
+    """A QuadExpr that owns both term dicts as given (see :func:`_lin`)."""
+    expr = object.__new__(QuadExpr)
+    expr.quad_terms = quad_terms
+    expr.lin_terms = lin_terms
+    expr.constant = constant
+    return expr
 
 
 class LinExpr:
-    """An affine expression ``sum(coef * var) + constant``."""
+    """An affine expression ``sum(coef * var) + constant``.
+
+    Operators never change an operand: each builds one fresh term dict
+    and hands it to the result without a second copy. Terms keep their
+    first-seen order (the left operand's, then new ones from the
+    right), and no result holds a zero coefficient.
+    """
 
     __slots__ = ("terms", "constant")
 
@@ -168,7 +176,7 @@ class LinExpr:
 
     # -- helpers ---------------------------------------------------------
     def copy(self) -> "LinExpr":
-        return LinExpr(dict(self.terms), self.constant)
+        return _lin(dict(self.terms), self.constant)
 
     def value(self, assignment: Mapping[Var, float]) -> float:
         """Evaluate the expression under a variable assignment."""
@@ -188,15 +196,17 @@ class LinExpr:
 
     # -- arithmetic ------------------------------------------------------
     def __add__(self, other: ExprLike) -> ExprLike:
-        if isinstance(other, (int, float)):
-            return LinExpr(dict(self.terms), self.constant + other)
         if isinstance(other, Var):
-            other = other.to_linexpr()
+            terms = dict(self.terms)
+            terms[other] = terms.get(other, 0.0) + 1.0
+            return _lin(_nonzero(terms), self.constant + 0.0)
         if isinstance(other, LinExpr):
             terms = dict(self.terms)
             for v, c in other.terms.items():
                 terms[v] = terms.get(v, 0.0) + c
-            return LinExpr(terms, self.constant + other.constant)
+            return _lin(_nonzero(terms), self.constant + other.constant)
+        if isinstance(other, (int, float)):
+            return _lin(dict(self.terms), float(self.constant + other))
         if isinstance(other, QuadExpr):
             return other + self
         return NotImplemented
@@ -204,17 +214,40 @@ class LinExpr:
     __radd__ = __add__
 
     def __sub__(self, other: ExprLike) -> ExprLike:
-        return self + (-1 * _as_quad(other) if isinstance(other, QuadExpr) else -1 * _as_lin(other))
+        # One pass: subtract in place of adding a negated copy. Negation
+        # is exact and x - y is x + (-y) in IEEE arithmetic, so every
+        # coefficient equals the two-step result bit for bit.
+        if isinstance(other, Var):
+            terms = dict(self.terms)
+            terms[other] = terms.get(other, 0.0) - 1.0
+            return _lin(_nonzero(terms), self.constant - 0.0)
+        if isinstance(other, LinExpr):
+            terms = dict(self.terms)
+            for v, c in other.terms.items():
+                terms[v] = terms.get(v, 0.0) - c
+            return _lin(_nonzero(terms), self.constant - other.constant)
+        if isinstance(other, (int, float)):
+            return _lin(dict(self.terms), self.constant - float(other))
+        if isinstance(other, QuadExpr):
+            # (-other) + self: the negated quadratic's terms come first.
+            lin = {v: -c for v, c in other.lin_terms.items()}
+            for v, c in self.terms.items():
+                lin[v] = lin.get(v, 0.0) + c
+            return _quad({k: -c for k, c in other.quad_terms.items()},
+                         _nonzero(lin), -other.constant + self.constant)
+        raise TypeError(f"cannot interpret {other!r} as a linear expression")
 
     def __rsub__(self, other: ExprLike) -> ExprLike:
-        return (-1 * self) + other
+        return (-self) + other
 
     def __neg__(self) -> "LinExpr":
-        return -1 * self
+        return _lin({v: -c for v, c in self.terms.items()}, -self.constant)
 
     def __mul__(self, other: ExprLike) -> ExprLike:
         if isinstance(other, (int, float)):
-            return LinExpr({v: c * other for v, c in self.terms.items()}, self.constant * other)
+            factor = float(other)
+            return _lin(_nonzero({v: c * factor for v, c in self.terms.items()}),
+                        self.constant * factor)
         if isinstance(other, Var):
             other = other.to_linexpr()
         if isinstance(other, LinExpr):
@@ -229,25 +262,25 @@ class LinExpr:
             if self.constant:
                 for vb, cb in other.terms.items():
                     lin[vb] = lin.get(vb, 0.0) + cb * self.constant
-            return QuadExpr(quad, lin, self.constant * other.constant)
+            return _quad(_nonzero(quad), _nonzero(lin),
+                         self.constant * other.constant)
         return NotImplemented
 
     __rmul__ = __mul__
 
     # -- comparisons -------------------------------------------------------
     def __le__(self, other: ExprLike) -> "Constraint":
-        return Constraint(self - _promote(other), Sense.LE)
+        return Constraint(self - other, Sense.LE)
 
     def __ge__(self, other: ExprLike) -> "Constraint":
-        return Constraint(self - _promote(other), Sense.GE)
+        return Constraint(self - other, Sense.GE)
 
     def __eq__(self, other: object):  # type: ignore[override]
-        if isinstance(other, (int, float, Var, LinExpr, QuadExpr)):
-            return Constraint(self - _promote(other), Sense.EQ)
+        if isinstance(other, _OPERANDS):
+            return Constraint(self - other, Sense.EQ)
         return NotImplemented
 
-    def __hash__(self) -> int:  # LinExpr is mutable-ish; identity hash is fine
-        return id(self)
+    __hash__ = object.__hash__   # identity, like Var
 
     def __repr__(self) -> str:
         parts = [f"{c:+g}*{v.name}" for v, c in self.terms.items()]
@@ -256,7 +289,10 @@ class LinExpr:
 
 
 class QuadExpr:
-    """A quadratic expression: bilinear terms + linear terms + constant."""
+    """A quadratic expression: bilinear terms + linear terms + constant.
+
+    Operators follow the same rules as :class:`LinExpr`.
+    """
 
     __slots__ = ("quad_terms", "lin_terms", "constant")
 
@@ -282,52 +318,68 @@ class QuadExpr:
         return total
 
     # -- arithmetic --------------------------------------------------------
-    def __add__(self, other: ExprLike) -> "QuadExpr":
-        other_q = _as_quad(other)
+    def _combine(self, other: ExprLike, sign: float) -> "QuadExpr":
+        """``self + sign * other`` in one pass (``sign`` is +1 or -1)."""
         quad = dict(self.quad_terms)
-        for k, c in other_q.quad_terms.items():
-            quad[k] = quad.get(k, 0.0) + c
         lin = dict(self.lin_terms)
-        for v, c in other_q.lin_terms.items():
-            lin[v] = lin.get(v, 0.0) + c
-        return QuadExpr(quad, lin, self.constant + other_q.constant)
+        if isinstance(other, Var):
+            lin[other] = lin.get(other, 0.0) + sign
+            constant = self.constant + sign * 0.0
+        elif isinstance(other, (int, float)):
+            constant = self.constant + sign * float(other)
+        elif isinstance(other, (LinExpr, QuadExpr)):
+            if isinstance(other, QuadExpr):
+                for k, c in other.quad_terms.items():
+                    quad[k] = quad.get(k, 0.0) + sign * c
+                quad = _nonzero(quad)
+            terms = other.terms if isinstance(other, LinExpr) else other.lin_terms
+            for v, c in terms.items():
+                lin[v] = lin.get(v, 0.0) + sign * c
+            constant = self.constant + sign * other.constant
+        else:
+            raise TypeError(f"cannot interpret {other!r} as an expression")
+        return _quad(quad, _nonzero(lin), constant)
+
+    def __add__(self, other: ExprLike) -> "QuadExpr":
+        return self._combine(other, 1.0)
 
     __radd__ = __add__
 
     def __sub__(self, other: ExprLike) -> "QuadExpr":
-        return self + (-1 * _as_quad(other))
+        return self._combine(other, -1.0)
 
     def __rsub__(self, other: ExprLike) -> "QuadExpr":
-        return (-1 * self) + _as_quad(other)
+        return (-self) + other
 
     def __neg__(self) -> "QuadExpr":
-        return -1 * self
+        return _quad({k: -c for k, c in self.quad_terms.items()},
+                     {v: -c for v, c in self.lin_terms.items()}, -self.constant)
 
     def __mul__(self, other: ExprLike) -> "QuadExpr":
         if not isinstance(other, (int, float)):
             raise ModelError("only scalar multiplication is supported for quadratic expressions")
-        return QuadExpr(
-            {k: c * other for k, c in self.quad_terms.items()},
-            {v: c * other for v, c in self.lin_terms.items()},
-            self.constant * other,
+        factor = float(other)
+        return _quad(
+            _nonzero({k: c * factor for k, c in self.quad_terms.items()}),
+            _nonzero({v: c * factor for v, c in self.lin_terms.items()}),
+            self.constant * factor,
         )
 
     __rmul__ = __mul__
 
     # -- comparisons ---------------------------------------------------------
     def __le__(self, other: ExprLike) -> "Constraint":
-        return Constraint(self - _as_quad(other), Sense.LE)
+        return Constraint(self._combine(other, -1.0), Sense.LE)
 
     def __ge__(self, other: ExprLike) -> "Constraint":
-        return Constraint(self - _as_quad(other), Sense.GE)
+        return Constraint(self._combine(other, -1.0), Sense.GE)
 
     def __eq__(self, other: object):  # type: ignore[override]
-        if isinstance(other, (int, float, Var, LinExpr, QuadExpr)):
-            return Constraint(self - _as_quad(other), Sense.EQ)
+        if isinstance(other, _OPERANDS):
+            return Constraint(self._combine(other, -1.0), Sense.EQ)
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return id(self)
+    __hash__ = object.__hash__   # identity, like Var
 
     def __repr__(self) -> str:
         q = [f"{c:+g}*{a.name}*{b.name}" for (a, b), c in self.quad_terms.items()]
@@ -335,13 +387,8 @@ class QuadExpr:
         return "QuadExpr(" + " ".join(q + l + [f"{self.constant:+g}"]) + ")"
 
 
-def _promote(value: ExprLike) -> ExprLike:
-    """Return value unchanged if it is an expression, else wrap a scalar."""
-    if isinstance(value, (int, float)):
-        return LinExpr({}, float(value))
-    if isinstance(value, Var):
-        return value.to_linexpr()
-    return value
+#: Types an ``==`` builds a constraint against (others get NotImplemented).
+_OPERANDS = (int, float, Var, LinExpr, QuadExpr)
 
 
 class Constraint:
@@ -386,20 +433,21 @@ def quicksum(items: Iterable[ExprLike]) -> ExprLike:
     Unlike the builtin :func:`sum`, this accumulates into a single
     mutable term dictionary, avoiding quadratic copying for long sums,
     and returns a :class:`LinExpr` (or :class:`QuadExpr` if any term is
-    quadratic). An empty sum yields ``LinExpr() == 0``.
+    quadratic) that owns that dictionary. An empty sum yields
+    ``LinExpr() == 0``.
     """
     lin: Dict[Var, float] = {}
     quad: Dict[Tuple[Var, Var], float] = {}
     constant = 0.0
     for item in items:
-        if isinstance(item, (int, float)):
-            constant += item
-        elif isinstance(item, Var):
+        if isinstance(item, Var):   # by far the most common item
             lin[item] = lin.get(item, 0.0) + 1.0
         elif isinstance(item, LinExpr):
             for v, c in item.terms.items():
                 lin[v] = lin.get(v, 0.0) + c
             constant += item.constant
+        elif isinstance(item, (int, float)):
+            constant += item
         elif isinstance(item, QuadExpr):
             for k, c in item.quad_terms.items():
                 quad[k] = quad.get(k, 0.0) + c
@@ -409,6 +457,5 @@ def quicksum(items: Iterable[ExprLike]) -> ExprLike:
         else:
             raise TypeError(f"cannot sum {item!r}")
     if quad:
-        return QuadExpr(quad, lin, constant)
-    return LinExpr(lin, constant)
-
+        return _quad(_nonzero(quad), _nonzero(lin), float(constant))
+    return _lin(_nonzero(lin), float(constant))

@@ -33,7 +33,9 @@ from typing import Any
 from repro.obs.manifest import case_fingerprint, config_fingerprint
 
 #: Bump to invalidate every existing store entry (see module docstring).
-CACHE_EPOCH = 1
+#: 2: masked switches lost their rotation symmetry row, so a stored
+#: "optimal" result for a masked spec may be suboptimal.
+CACHE_EPOCH = 2
 
 #: Entry kinds with a defined payload shape (open vocabulary, like
 #: obs event names — producers may add more).

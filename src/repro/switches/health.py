@@ -151,8 +151,9 @@ def apply_health_mask(switch: SwitchModel, mask: HealthMask) -> SwitchModel:
     the original but gets pruned ``segments``/``valves`` tables, a
     pruned graph, a fresh ``structure_key`` (fewer segments → different
     key, so every path-catalog and model cache automatically treats the
-    degraded switch as a distinct structure) and ``switch.health`` set
-    to the mask.
+    degraded switch as a distinct structure), ``rotation_order`` 1 (no
+    rotation symmetry is assumed to survive a fault) and
+    ``switch.health`` set to the mask.
 
     Unlike construction-time :meth:`SwitchModel._finalize`, the masked
     copy may be disconnected and may strand pins at degree 0 — use
@@ -183,6 +184,10 @@ def apply_health_mask(switch: SwitchModel, mask: HealthMask) -> SwitchModel:
         if clone.graph.has_edge(a, b):
             clone.graph.remove_edge(a, b)
     clone._structure_key = None
+    # A fault on one pin's stub is not repeated on its rotated twins, so
+    # the pristine switch's rotations are no longer automorphisms; the
+    # builder's rotation symmetry row would cut off optima.
+    clone.rotation_order = 1
     clone.health = mask
     clone._unmasked = source
     return clone

@@ -6,14 +6,17 @@ exactly one of them. :func:`enumerate_paths` reproduces this: for every
 *ordered* pin pair it yields all length-minimal paths (optionally with
 a slack so near-shortest alternatives are available too).
 
-Enumeration results are memoized on the switch's *structural* signature
+Enumeration results are memoized per ordered pin pair, keyed on the
+switch's *structural* signature
 (:meth:`~repro.switches.base.SwitchModel.structure_key`) rather than
 object identity: the case factories and the artificial suite build a
 fresh switch instance per spec, but almost all of them share a handful
-of structures, so a 90-case sweep enumerates each structure once. Paths
-are immutable, so cached lists are shared safely across catalogs;
-:func:`path_cache_info` exposes hit/miss counters and
-:func:`clear_path_cache` resets the cache (used by tests).
+of structures. A catalog for any pin subset of a known structure is
+assembled from the memoized pairs, so fixed-binding draws that bind
+different pins still enumerate each pair only once. Paths are
+immutable and are shared across catalogs wherever their catalog index
+agrees; :func:`path_cache_info` exposes hit/miss counters and
+:func:`clear_path_cache` resets the memo (used by tests).
 """
 
 from __future__ import annotations
@@ -108,23 +111,29 @@ def path_from_vertices(switch: SwitchModel, index: int,
     (:mod:`repro.store`) relies on when decoding stored routes.
     """
     nodes = frozenset(v for v in vertices if not switch.is_pin(v))
-    segs = frozenset(segment_key(a, b) for a, b in zip(vertices, vertices[1:]))
-    length = sum(switch.segments[k].length for k in segs)
+    steps = [segment_key(a, b) for a, b in zip(vertices, vertices[1:])]
+    # Summed along the route, not over the segment set: a set's order
+    # follows the string hash seed, and so would the last bit of a sum.
+    length = sum(switch.segments[k].length for k in steps)
     return Path(
         index=index,
         source_pin=vertices[0],
         target_pin=vertices[-1],
         vertices=tuple(vertices),
         nodes=nodes,
-        segments=segs,
+        segments=frozenset(steps),
         length=length,
     )
 
 
-#: Memoized enumeration results, keyed on (structure, pins, slack, cap).
-#: Bounded LRU so long artificial sweeps cannot grow it without limit.
-_PATH_CACHE: "OrderedDict[tuple, Tuple[Path, ...]]" = OrderedDict()
-_PATH_CACHE_MAX = 128
+#: Memoized enumerations per ordered pin pair, grouped by the rest of
+#: their key: (structure, slack, cap) -> {(source pin, target pin): the
+#: pair's candidate paths, shortest first (empty when unreachable)}.
+#: Grouping hashes the large structure key once per catalog rather than
+#: once per pair. LRU over structures, holding at most _PATH_CACHE_MAX
+#: pairs in all, so long sweeps cannot grow it without limit.
+_PATH_CACHE: "OrderedDict[tuple, Dict[Tuple[str, str], Tuple[Path, ...]]]" = OrderedDict()
+_PATH_CACHE_MAX = 8192
 _PATH_CACHE_LOCK = threading.Lock()
 
 # Counters live in a repro.obs metrics registry (not module-global
@@ -159,18 +168,22 @@ def _current_tracer():
 
 
 def path_cache_info() -> Dict[str, int]:
-    """Hit/miss/size counters of the path-enumeration cache.
+    """Hit/miss/size counters of the path-enumeration memo.
 
-    ``hits``/``misses`` count the in-memory LRU; ``store_hits`` counts
-    enumerations answered by the persistent :mod:`repro.store` catalog
-    cache (those are *not* double-counted as memory hits).
+    Counts are per catalog: ``hits`` counts catalogs assembled wholly
+    from memoized pin pairs, ``misses`` catalogs that enumerated at
+    least one pair, and ``store_hits`` catalogs answered by the
+    persistent :mod:`repro.store` catalog cache instead (those are
+    *not* double-counted as misses). ``size`` is the number of
+    memoized pin pairs.
     """
     metrics = _path_metrics()
     with _PATH_CACHE_LOCK:
         return {"hits": metrics.counter("path_cache_hits").value,
                 "misses": metrics.counter("path_cache_misses").value,
                 "store_hits": metrics.counter("path_cache_store_hits").value,
-                "size": len(_PATH_CACHE), "max_size": _PATH_CACHE_MAX}
+                "size": sum(map(len, _PATH_CACHE.values())),
+                "max_size": _PATH_CACHE_MAX}
 
 
 def clear_path_cache() -> None:
@@ -197,74 +210,134 @@ def enumerate_paths(
     kept shortest-first). ``pins`` restricts the pin set (used by the
     fixed binding policy to enumerate only the bound pins).
 
-    Results are memoized per switch structure; the returned catalog is
-    always a fresh :class:`PathCatalog` bound to ``switch``. When a
-    persistent :mod:`repro.store` is active, an in-memory miss falls
-    back to the stored catalog for the same structure (Tier B), and a
-    fresh enumeration is written through for future processes.
+    Results are memoized per pin pair of a switch structure; the
+    returned catalog is always a fresh :class:`PathCatalog` bound to
+    ``switch``, numbered in pin-pair order. Only when some pair is not
+    memoized does a persistent :mod:`repro.store` come in: the stored
+    catalog for the same structure and pin subset answers (Tier B), or
+    the missing pairs are enumerated and the catalog is written through
+    for future processes.
     """
     if slack < 0:
         raise SwitchModelError("path slack cannot be negative")
-    cache_key = (switch.structure_key(),
-                 tuple(pins) if pins is not None else None,
-                 float(slack), max_paths_per_pair)
-    with _PATH_CACHE_LOCK:
-        cached = _PATH_CACHE.get(cache_key)
-        if cached is not None:
-            _count("path_cache_hits")
-            _PATH_CACHE.move_to_end(cache_key)
-            return PathCatalog(switch, list(cached))
-    stored = _load_stored_catalog(switch, cache_key)
-    if stored is not None:
-        with _PATH_CACHE_LOCK:
-            _count("path_cache_store_hits")
-            _PATH_CACHE[cache_key] = stored
-            _PATH_CACHE.move_to_end(cache_key)
-            while len(_PATH_CACHE) > _PATH_CACHE_MAX:
-                _PATH_CACHE.popitem(last=False)
-        return PathCatalog(switch, list(stored))
-    with _PATH_CACHE_LOCK:
-        _count("path_cache_misses")
     pin_list = list(pins) if pins is not None else list(switch.pins)
     for p in pin_list:
         if not switch.is_pin(p):
             raise SwitchModelError(f"{p!r} is not a pin of {switch.name!r}")
-
-    paths: List[Path] = []
-    index = 0
-    for src in pin_list:
-        # Single-source shortest path lengths prune the simple-path search.
-        dist = nx.single_source_dijkstra_path_length(switch.graph, src, weight="length")
-        for dst in pin_list:
-            if dst == src or dst not in dist:
-                continue
-            budget = dist[dst] + slack + 1e-9
-            found: List[List[str]] = []
-            if slack == 0:
-                found = [list(v) for v in nx.all_shortest_paths(
-                    switch.graph, src, dst, weight="length")]
-            else:
-                for vertices in _bounded_simple_paths(switch, src, dst, budget):
-                    found.append(vertices)
-            # Pins are terminals only: a candidate path must not route
-            # *through* a third pin (pins have degree 1, so this cannot
-            # happen on our models, but guard against exotic subclasses).
-            found = [v for v in found
-                     if all(not switch.is_pin(x) for x in v[1:-1])]
-            found.sort(key=lambda v: (sum(
-                switch.segments[segment_key(a, b)].length for a, b in zip(v, v[1:])), v))
-            if max_paths_per_pair is not None:
-                found = found[:max_paths_per_pair]
-            for vertices in found:
-                paths.append(path_from_vertices(switch, index, vertices))
-                index += 1
+    structure = switch.structure_key()
+    slack = float(slack)
+    memo_key = (structure, slack, max_paths_per_pair)
+    pairs = [(src, dst) for src in pin_list for dst in pin_list if dst != src]
     with _PATH_CACHE_LOCK:
-        _PATH_CACHE[cache_key] = tuple(paths)
-        _PATH_CACHE.move_to_end(cache_key)
-        while len(_PATH_CACHE) > _PATH_CACHE_MAX:
-            _PATH_CACHE.popitem(last=False)
-    _store_catalog(cache_key, paths)
+        memo = _PATH_CACHE.get(memo_key, {})
+        known = {pair: memo[pair] for pair in pairs if pair in memo}
+        missing = [pair for pair in dict.fromkeys(pairs) if pair not in known]
+        if memo:
+            _PATH_CACHE.move_to_end(memo_key)
+        if not missing:
+            _count("path_cache_hits")
+
+    routes: Dict[Tuple[str, str], List[List[str]]] = {}
+    if missing:
+        # Tier B keeps its per-pin-subset key: (structure, pins, slack, cap).
+        catalog_key = (structure, tuple(pins) if pins is not None else None,
+                       slack, max_paths_per_pair)
+        stored = _load_stored_catalog(switch, catalog_key)
+        if stored is not None:
+            grouped: Dict[Tuple[str, str], List[Path]] = {p: [] for p in missing}
+            for p in stored:
+                grouped.setdefault((p.source_pin, p.target_pin), []).append(p)
+            with _PATH_CACHE_LOCK:
+                _count("path_cache_store_hits")
+                _remember(memo_key, {p: tuple(grouped[p]) for p in missing})
+            return PathCatalog(switch, list(stored))
+        with _PATH_CACHE_LOCK:
+            _count("path_cache_misses")
+        source, dist = None, {}
+        for src, dst in missing:
+            if src != source:
+                # Single-source shortest path lengths prune the search.
+                source = src
+                dist = nx.single_source_dijkstra_path_length(
+                    switch.graph, src, weight="length")
+            routes[(src, dst)] = _pair_routes(switch, src, dst, dist, slack,
+                                              max_paths_per_pair)
+
+    paths, built = _assemble(switch, pairs, known, routes)
+    # Fresh pairs join the memo. Every free-binding spec of a structure
+    # asks for the full catalog, so a full catalog's renumbered pairs
+    # replace the memoized ones too, and its repeats reuse the paths.
+    keep = built if pins is None else {p: built[p] for p in missing}
+    if keep:
+        with _PATH_CACHE_LOCK:
+            _remember(memo_key, keep)
+    if missing:
+        _store_catalog(catalog_key, paths)
     return PathCatalog(switch, paths)
+
+
+def _assemble(switch: SwitchModel, pairs: Sequence[Tuple[str, str]],
+              known: Dict[Tuple[str, str], Tuple[Path, ...]],
+              routes: Dict[Tuple[str, str], List[List[str]]]
+              ) -> Tuple[List[Path], Dict[Tuple[str, str], Tuple[Path, ...]]]:
+    """One catalog's paths, each pair's in pair order, numbered from 0,
+    and the pairs that got new path objects.
+
+    ``known`` holds memoized pairs, ``routes`` the vertex sequences of
+    freshly enumerated ones. A memoized tuple is reused as is where its
+    numbering agrees with the catalog's, and renumbered otherwise.
+    """
+    paths: List[Path] = []
+    built: Dict[Tuple[str, str], Tuple[Path, ...]] = {}
+    for pair in pairs:
+        entry = known.get(pair)
+        if entry is None:
+            entry = tuple(path_from_vertices(switch, len(paths) + i, vertices)
+                          for i, vertices in enumerate(routes[pair]))
+            built[pair] = entry
+        elif entry and entry[0].index != len(paths):
+            entry = tuple(
+                Path(len(paths) + i, p.source_pin, p.target_pin, p.vertices,
+                     p.nodes, p.segments, p.length)
+                for i, p in enumerate(entry))
+            built[pair] = entry
+        paths.extend(entry)
+    return paths, built
+
+
+def _remember(memo_key: tuple,
+              entries: Dict[Tuple[str, str], Tuple[Path, ...]]) -> None:
+    """Memoize pin-pair entries (caller holds _PATH_CACHE_LOCK)."""
+    _PATH_CACHE.setdefault(memo_key, {}).update(entries)
+    _PATH_CACHE.move_to_end(memo_key)
+    size = sum(map(len, _PATH_CACHE.values()))
+    while size > _PATH_CACHE_MAX:
+        size -= len(_PATH_CACHE.popitem(last=False)[1])
+
+
+def _pair_routes(switch: SwitchModel, src: str, dst: str,
+                 dist: Dict[str, float], slack: float,
+                 cap: Optional[int]) -> List[List[str]]:
+    """Vertex sequences of one ordered pin pair's candidate paths,
+    shortest first (ties by vertex sequence); ``dist`` holds the
+    shortest lengths from ``src``."""
+    if dst not in dist:
+        return []
+    if slack == 0:
+        found = [list(v) for v in nx.all_shortest_paths(
+            switch.graph, src, dst, weight="length")]
+    else:
+        found = list(_bounded_simple_paths(switch, src, dst,
+                                           dist[dst] + slack + 1e-9))
+    # Pins are terminals only: a candidate path must not route *through*
+    # a third pin (pins have degree 1, so this cannot happen on our
+    # models, but guard against exotic subclasses).
+    found = [v for v in found if all(not switch.is_pin(x) for x in v[1:-1])]
+    found.sort(key=lambda v: (sum(
+        switch.segments[segment_key(a, b)].length for a, b in zip(v, v[1:])), v))
+    if cap is not None:
+        found = found[:cap]
+    return found
 
 
 def _load_stored_catalog(switch: SwitchModel,

@@ -131,6 +131,29 @@ def test_stuck_closed_pin_stub_matches_the_enumerator(pin):
         assert result.objective == pytest.approx(expected.objective, rel=1e-6)
 
 
+@pytest.mark.parametrize("binding", [BindingPolicy.UNFIXED,
+                                     BindingPolicy.CLOCKWISE])
+@pytest.mark.parametrize("seed", range(3))
+def test_stuck_closed_arc_stubs_match_the_enumerator(seed, binding):
+    """Two faults at once: stuck-closed valves on the stubs of T1 and T2,
+    the 8-pin crossbar's fundamental arc. The fault breaks the rotation
+    symmetry, so the model must not keep the first module in that arc,
+    where it could no longer reach any flow."""
+    switch = CrossbarSwitch(8)
+    faults = ";".join(f"{s.a}-{s.b}:stuck_closed"
+                      for pin in ("T1", "T2") for s in switch.segments_at(pin))
+    spec = mask_spec(
+        generate_case(seed, switch_size=8, n_flows=2, n_inlets=2,
+                      binding=binding),
+        parse_faults(faults))
+    expected = brute_force(spec)
+    result = synthesize(spec, SynthesisOptions(
+        backend="highs", mip_gap=1e-9, time_limit=60, on_error="raise"))
+    assert result.status is expected.status
+    if expected.status is SynthesisStatus.OPTIMAL:
+        assert result.objective == pytest.approx(expected.objective, rel=1e-6)
+
+
 @settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.integers(min_value=0, max_value=5_000))

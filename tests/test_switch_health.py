@@ -129,6 +129,15 @@ def test_empty_mask_is_a_no_op():
     assert switch.with_health(HealthMask()) is switch
 
 
+def test_masked_copy_has_no_rotation_symmetry():
+    switch = CrossbarSwitch(8)
+    masked = switch.with_health(
+        HealthMask.from_triples([(*internal_segment(switch), "stuck_open")]))
+    assert switch.rotation_order == 4
+    assert masked.rotation_order == 1
+    assert switch.with_health(HealthMask()).rotation_order == 4
+
+
 def test_apply_health_mask_requires_a_mask():
     with pytest.raises(SwitchModelError, match="HealthMask"):
         apply_health_mask(CrossbarSwitch(8), {("A", "B")})

@@ -61,6 +61,38 @@ def test_path_length_consistency(sw8, catalog8):
         )
 
 
+def test_path_length_is_summed_along_the_route(sw8, catalog8):
+    for p in catalog8:
+        assert p.length == sum(sw8.segment(a, b).length
+                               for a, b in zip(p.vertices, p.vertices[1:]))
+
+
+def test_path_lengths_do_not_depend_on_the_hash_seed():
+    """Segment sets iterate in string-hash order; a length summed over
+    one differs in its last bit between interpreters (B1->B2 on the
+    8-pin crossbar read 3.4 in one and 3.4000000000000004 in another)."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path as FsPath
+
+    import repro
+
+    script = ("from repro.switches import CrossbarSwitch, enumerate_paths\n"
+              "for n in (8, 12, 16):\n"
+              "    for p in enumerate_paths(CrossbarSwitch(n)):\n"
+              "        print(p, repr(p.length))\n")
+    src = str(FsPath(repro.__file__).resolve().parents[1])
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", script], check=True, capture_output=True,
+            text=True, env={**os.environ, "PYTHONHASHSEED": str(seed),
+                            "PYTHONPATH": src}).stdout
+        for seed in (1, 2)
+    ]
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 def test_unique_indices(catalog8):
     indices = [p.index for p in catalog8]
     assert len(set(indices)) == len(indices)
@@ -189,9 +221,41 @@ def test_cache_distinguishes_parameters(sw8):
     enumerate_paths(sw8)
     enumerate_paths(sw8, slack=2.0)
     enumerate_paths(sw8, max_paths_per_pair=1)
-    enumerate_paths(sw8, pins=sw8.pins[:4])
-    assert path_cache_info()["misses"] == 4
+    assert path_cache_info()["misses"] == 3
     assert path_cache_info()["hits"] == 0
+    clear_path_cache()
+
+
+def test_pin_subset_of_a_known_structure_is_a_hit(sw8):
+    """The memo is per pin pair: after the full catalog, any pin subset
+    is assembled from memoized pairs, renumbered exactly as a cold
+    enumeration of that subset numbers it."""
+    from repro.switches import clear_path_cache, path_cache_info
+
+    subset = ["B2", "T1", "R1", "L2"]
+    clear_path_cache()
+    cold = enumerate_paths(sw8, pins=subset)
+    clear_path_cache()
+    enumerate_paths(sw8)
+    warm = enumerate_paths(CrossbarSwitch(8), pins=subset)
+    info = path_cache_info()
+    clear_path_cache()
+    assert (info["hits"], info["misses"]) == (1, 1)
+    assert warm.paths == cold.paths
+    assert [p.index for p in warm] == list(range(len(warm)))
+
+
+def test_memo_is_bounded(sw8, monkeypatch):
+    from repro.switches import clear_path_cache, path_cache_info
+    from repro.switches import paths as paths_module
+
+    monkeypatch.setattr(paths_module, "_PATH_CACHE_MAX", 60)
+    clear_path_cache()
+    enumerate_paths(sw8)                       # 56 pairs
+    enumerate_paths(CrossbarSwitch(12))        # 132 more: evicts the 8-pin
+    assert path_cache_info()["size"] <= 60
+    enumerate_paths(sw8, pins=sw8.pins[:3])
+    assert path_cache_info()["misses"] == 3
     clear_path_cache()
 
 

@@ -120,6 +120,24 @@ def test_model_assignment_maps_greedy_onto_built_model():
     assert built.model.check_assignment(assignment, tol=1e-6) == []
 
 
+@pytest.mark.parametrize("binding", [BindingPolicy.CLOCKWISE,
+                                     BindingPolicy.UNFIXED])
+@pytest.mark.parametrize("seed", range(6))
+def test_greedy_incumbent_survives_rotation_symmetry(seed, binding):
+    """The greedy binding is rotated so the first module lands in the
+    arc the rotation symmetry row allows; otherwise the row rejects the
+    incumbent and branch-and-bound starts cold."""
+    spec = generate_case(seed, switch_size=8, n_flows=2, n_inlets=2,
+                         binding=binding)
+    greedy = synthesize_greedy(spec, verify=False, pressure_sharing=False)
+    arc = spec.switch.n_pins // spec.switch.rotation_order
+    assert spec.switch.pin_index(greedy.binding[spec.modules[0]]) <= arc
+    result = synthesize(spec, SynthesisOptions(time_limit=60,
+                                               backend="branch_bound"))
+    assert result.status.solved
+    assert result.counters.get("incumbent_seeded") == 1
+
+
 def test_warm_start_rejected_when_infeasible_or_incomplete():
     m = Model("guard")
     x = m.add_binary("x")
