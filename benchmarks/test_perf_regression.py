@@ -29,7 +29,7 @@ import pytest
 from repro.cases import chip_sw1, generate_case
 from repro.core import BindingPolicy, SynthesisOptions, synthesize
 from repro.opt import Model, presolve, quicksum
-from repro.perf import PerfRecorder, emit_bench_json, load_bench_json
+from repro.perf import PhaseTimings, emit_bench_json, load_bench_json
 from repro.switches import clear_path_cache
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -43,6 +43,20 @@ ABS_GUARD_S = 0.2
 #: per-phase minimum — best-of-N measures the algorithm rather than the
 #: scheduler (the shared single-core container jitters by 30%+).
 REPEATS = 8
+
+
+def _row(name: str, timings: PhaseTimings,
+         counters: Optional[Dict[str, int]] = None) -> Dict[str, object]:
+    """One BENCH_opt.json record: phases in canonical order, their total,
+    and the counters (sorted) when there are any."""
+    row: Dict[str, object] = {
+        "name": name,
+        "phases": {p: round(timings[p], 6) for p in timings.ordered()},
+        "total_s": round(timings.total, 6),
+    }
+    if counters:
+        row["counters"] = dict(sorted(counters.items()))
+    return row
 
 
 def _best_phases(rows: List[Dict[str, object]]) -> Dict[str, float]:
@@ -59,10 +73,8 @@ def _synthesis_record(name: str, spec_factory) -> Dict[str, object]:
     for _ in range(REPEATS):
         clear_path_cache()
         result = synthesize(spec_factory(), SynthesisOptions(time_limit=60))
-        rec = PerfRecorder(name)
-        rec.timings.merge(result.timings)
-        rec.counters.update(result.counters)  # nodes, lp_calls, cuts, ...
-        row = rec.record()
+        # nodes, lp_calls, cuts, ...
+        row = _row(name, result.timings, result.counters)
         row["status"] = result.status.value
         rows.append(row)
     best = rows[-1]
@@ -73,17 +85,17 @@ def _synthesis_record(name: str, spec_factory) -> Dict[str, object]:
 
 def _presolve_micro_record() -> Dict[str, object]:
     """Vectorized presolve on a chained-equality ladder (pure machinery)."""
-    rec = PerfRecorder("presolve_micro")
+    timings = PhaseTimings()
     m = Model("ladder")
     xs = [m.add_integer(f"x{i}", 0, 50) for i in range(400)]
     m.add_constr(xs[0] == 7)
     for a, b in zip(xs, xs[1:]):
         m.add_constr(a + b == 20)
     m.set_objective(quicksum(xs), "min")
-    with rec.phase("presolve"):
+    with timings.phase("presolve"):
         res = presolve(m)
     assert res.form.n == 0  # the ladder collapses entirely
-    return rec.record()
+    return _row("presolve_micro", timings)
 
 
 def _compile_cache_record() -> Dict[str, object]:
@@ -93,20 +105,21 @@ def _compile_cache_record() -> Dict[str, object]:
 
     rows = []
     for _ in range(REPEATS):
-        rec = PerfRecorder("compile_cache")
+        timings = PhaseTimings()
+        counters: Dict[str, int] = {}
         spec = generate_case(seed=11, switch_size=8, n_flows=3)
         catalog = build_catalog(spec, SynthesisOptions())
         # A fresh model per repetition: the first solve must be cold
         # (the result memo would otherwise serve it instantly).
         built = SynthesisModelBuilder(spec, catalog).build()
-        with rec.phase("solve"):
+        with timings.phase("solve"):
             first = built.model.solve(time_limit=60)
-        rec.counters.update(first.counters)
-        with rec.phase("resolve"):  # compiled arrays + result memo hit now
+        counters.update(first.counters)
+        with timings.phase("resolve"):  # compiled arrays + result memo hit now
             second = built.model.solve(time_limit=60)
-        rec.counters.update(
+        counters.update(
             {f"resolve_{k}": v for k, v in second.counters.items()})
-        rows.append(rec.record())
+        rows.append(_row("compile_cache", timings, counters))
     best = rows[-1]
     best["phases"] = _best_phases(rows)
     best["total_s"] = round(sum(best["phases"].values()), 6)
@@ -298,6 +311,16 @@ def _regressions(previous: Dict[str, object],
                     f"({seconds / before:.1f}x)"
                 )
     return problems
+
+
+def test_bench_row_format():
+    timings = PhaseTimings({"solve": 0.25, "build": 0.5})
+    row = _row("case_x", timings, {"nodes": 3, "cuts": 1})
+    assert row == {"name": "case_x",
+                   "phases": {"build": 0.5, "solve": 0.25},
+                   "total_s": 0.75,
+                   "counters": {"cuts": 1, "nodes": 3}}
+    assert "counters" not in _row("case_y", timings)
 
 
 def test_phase_timings_regression():

@@ -20,8 +20,8 @@ import networkx as nx
 
 from repro.core.spec import Flow
 from repro.errors import ReproError
-from repro.switches.base import SwitchModel, segment_key
-from repro.switches.paths import Path
+from repro.switches.base import SwitchModel
+from repro.switches.paths import Path, path_from_vertices
 
 
 @dataclass
@@ -66,16 +66,7 @@ def route_shortest(switch: SwitchModel, binding: Dict[str, str],
             vertices = nx.shortest_path(switch.graph, src, dst, weight="length")
         except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
             raise ReproError(f"cannot route {f} on {switch.name}: {exc}") from exc
-        segs = frozenset(segment_key(a, b) for a, b in zip(vertices, vertices[1:]))
-        paths[f.id] = Path(
-            index=next(counter),
-            source_pin=src,
-            target_pin=dst,
-            vertices=tuple(vertices),
-            nodes=frozenset(v for v in vertices if not switch.is_pin(v)),
-            segments=segs,
-            length=sum(switch.segments[k].length for k in segs),
-        )
+        paths[f.id] = path_from_vertices(switch, next(counter), vertices)
     return paths
 
 

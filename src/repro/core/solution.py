@@ -106,9 +106,7 @@ class SynthesisResult:
     @property
     def flow_channel_length(self) -> float:
         """L — total used flow channel length, mm."""
-        return sum(
-            self.spec.switch.segments[key].length for key in self.used_segments
-        )
+        return self.spec.switch.length_of(self.used_segments)
 
     @property
     def num_flow_sets(self) -> int:

@@ -55,7 +55,7 @@ from repro.obs.trace import Tracer, current_tracer, obs_event, use_tracer
 from repro.opt import SolveStatus
 from repro.opt.incremental import SolveContext
 from repro.opt.solvers import check_backend_name, resolve_backend_name
-from repro.perf import PerfRecorder
+from repro.perf import PhaseTimings
 from repro.switches.paths import PathCatalog, enumerate_paths
 from repro.switches.reduce import reduce_switch
 
@@ -67,6 +67,19 @@ _WARM_BACKENDS = {"branch_bound", "parallel_bb"}
 
 #: Valid values of :attr:`SynthesisOptions.on_error`.
 ERROR_POLICIES = ("raise", "capture", "degrade")
+
+#: The per-run counts a traced :func:`synthesize` publishes: each name
+#: is a counter in the tracer's registry that adds up
+#: ``result.counters[name]`` over runs. ``result.counters`` also holds
+#: ``node_order_hash`` (an identity of the search order) and
+#: ``bb_workers`` (a setting, published by ``parallel_bb`` as a gauge);
+#: neither is a count, so neither is summed here.
+PUBLISHED_COUNTS = (
+    "nodes", "lp_calls", "lp_iterations", "cuts", "bb_rounds", "bb_steals",
+    "bb_worker_restarts", "incumbent_seeded", "presolve_fixed",
+    "resolve_cache_hit", "store_hit", "store_put", "store_warm_incumbent",
+    "degraded", "pressure_degraded",
+)
 
 
 @dataclass
@@ -90,10 +103,11 @@ class SynthesisOptions:
     on_error: str = "degrade"
     #: Optional :class:`repro.obs.Tracer` installed for the duration of
     #: the run: every phase becomes a span, the solver internals emit
-    #: incumbent/cut/deadline events, and the result counters are folded
-    #: into the tracer's metrics registry. ``None`` (the default) keeps
-    #: tracing disabled at zero cost. Excluded from config fingerprints
-    #: and equality — a tracer never changes what is computed.
+    #: incumbent/cut/deadline events, and the result counts named in
+    #: :data:`PUBLISHED_COUNTS` are added to the tracer's metrics
+    #: registry. ``None`` (the default) keeps tracing disabled at zero
+    #: cost. Excluded from config fingerprints and equality — a tracer
+    #: never changes what is computed.
     trace: Optional[Tracer] = field(default=None, compare=False, repr=False)
     #: Optional :class:`repro.store.Store`: the persistent solve cache
     #: consulted (Tier A exact results, Tier B warm artifacts) and
@@ -231,7 +245,8 @@ def synthesize(spec: SwitchSpec,
     store = _resolve_store(options)
     start = time.perf_counter()
     deadline = Deadline(options.time_limit)
-    recorder = PerfRecorder(spec.name)
+    timings = PhaseTimings()
+    counters: Dict[str, int] = {}
 
     with ExitStack() as stack:
         if options.trace is not None:
@@ -247,44 +262,38 @@ def synthesize(spec: SwitchSpec,
             from repro.store import load_result, result_key
 
             store_key = result_key(spec, options)
-            with recorder.phase("store"):
+            with timings.phase("store"):
                 result = load_result(store, store_key, spec)
             if result is not None:
-                recorder.counters["store_hit"] = 1
+                counters["store_hit"] = 1
                 obs_event("cache_hit", kind="result", case=spec.name,
                           key=store_key[:16])
         if result is None:
             result = _run_pipeline(spec, options, context, deadline,
-                                   recorder, store)
+                                   timings, counters, store)
             if store is not None:
                 # Write-through must never fail the solve it records.
                 try:
                     from repro.store import store_result
 
                     if store_result(store, store_key, result):
-                        recorder.counters["store_put"] = 1
+                        counters["store_put"] = 1
                 except Exception:
                     pass
         result.runtime = time.perf_counter() - start
-        result.timings = recorder.timings
-        result.counters = dict(recorder.counters)
+        result.timings = timings
+        result.counters = counters
         if tracer is not None:
             tracer.event("synthesis_result", case=spec.name,
                          status=result.status.value,
                          objective=result.objective,
                          runtime=round(result.runtime, 6))
-            tracer.metrics.counter("synthesize_runs").inc()
-            tracer.metrics.histogram("synthesize_seconds").observe(result.runtime)
-            for name, value in result.counters.items():
-                try:
-                    tracer.metrics.counter(name).inc(int(value))
-                except TypeError:
-                    # The name is already registered as a gauge or
-                    # histogram by a solver. A registry collision must
-                    # never fail the synthesis that produced the
-                    # result; the raw value is still in
-                    # result.counters.
-                    tracer.event("metric_kind_collision", name=name)
+            metrics = tracer.metrics
+            metrics.counter("synthesize_runs").inc()
+            metrics.histogram("synthesize_seconds").observe(result.runtime)
+            for name in PUBLISHED_COUNTS:
+                if name in counters:
+                    metrics.counter(name).inc(counters[name])
     return result
 
 
@@ -301,7 +310,8 @@ def _resolve_store(options: SynthesisOptions):
 
 def _run_pipeline(spec: SwitchSpec, options: SynthesisOptions,
                   context: Optional[SolveContext], deadline: Deadline,
-                  recorder: PerfRecorder, store) -> SynthesisResult:
+                  timings: PhaseTimings, counters: Dict[str, int],
+                  store) -> SynthesisResult:
     """The exact pipeline under the degradation ladder.
 
     ``store`` (None when caching is disabled) is installed as the
@@ -315,11 +325,11 @@ def _run_pipeline(spec: SwitchSpec, options: SynthesisOptions,
     with use_store(store):
         try:
             result = _pipeline(spec, options, context, deadline,
-                               recorder, store)
+                               timings, counters, store)
         except Exception as exc:  # the ladder: capture / degrade
             if options.on_error == "raise":
                 raise
-            result = _recover(spec, options, recorder,
+            result = _recover(spec, options, timings, counters,
                               failure=f"{type(exc).__name__}: {exc}",
                               timeout=False)
         else:
@@ -328,7 +338,7 @@ def _run_pipeline(spec: SwitchSpec, options: SynthesisOptions,
                 obs_event("deadline", where="synthesize",
                           budget=options.time_limit)
                 result = _recover(
-                    spec, options, recorder,
+                    spec, options, timings, counters,
                     failure=(f"exact solve exhausted the {options.time_limit}s "
                              "budget with no incumbent"),
                     timeout=True,
@@ -337,7 +347,7 @@ def _run_pipeline(spec: SwitchSpec, options: SynthesisOptions,
 
 
 def _recover(spec: SwitchSpec, options: SynthesisOptions,
-             recorder: PerfRecorder, failure: str,
+             timings: PhaseTimings, counters: Dict[str, int], failure: str,
              timeout: bool) -> SynthesisResult:
     """Lower rungs of the degradation ladder (degrade, then capture).
 
@@ -354,7 +364,7 @@ def _recover(spec: SwitchSpec, options: SynthesisOptions,
                   timeout=timeout)
         fallback: Optional[SynthesisResult] = None
         try:
-            with recorder.phase("degrade"):
+            with timings.phase("degrade"):
                 fallback = synthesize_greedy(
                     spec, verify=options.verify,
                     pressure_sharing=options.pressure_sharing,
@@ -363,7 +373,7 @@ def _recover(spec: SwitchSpec, options: SynthesisOptions,
             failure = (f"{failure}; greedy fallback failed: "
                        f"{type(exc).__name__}: {exc}")
         if fallback is not None and fallback.status.solved:
-            recorder.counters["degraded"] = 1
+            counters["degraded"] = 1
             fallback.solver = "greedy(degraded)"
             fallback.error = failure
             return fallback
@@ -373,15 +383,16 @@ def _recover(spec: SwitchSpec, options: SynthesisOptions,
 
 def _pipeline(spec: SwitchSpec, options: SynthesisOptions,
               context: Optional[SolveContext], deadline: Deadline,
-              recorder: PerfRecorder, store=None) -> SynthesisResult:
+              timings: PhaseTimings, counters: Dict[str, int],
+              store=None) -> SynthesisResult:
     """The exact pipeline: every phase runs on the remaining budget."""
     key = (_context_key(spec, options)
            if context is not None or store is not None else None)
 
     def _build() -> BuiltModel:
-        with recorder.phase("catalog"):
+        with timings.phase("catalog"):
             catalog = build_catalog(spec, options)
-        with recorder.phase("build"):
+        with timings.phase("build"):
             return SynthesisModelBuilder(spec, catalog).build()
 
     if context is None:
@@ -390,7 +401,7 @@ def _pipeline(spec: SwitchSpec, options: SynthesisOptions,
         built = context.built_model(key, _build)
         if built.spec is not spec:
             if (built.spec.alpha, built.spec.beta) != (spec.alpha, spec.beta):
-                with recorder.phase("build"):
+                with timings.phase("build"):
                     built.model.set_objective(
                         spec.alpha * built.n_sets_expr
                         + spec.beta * built.length_expr,
@@ -426,11 +437,11 @@ def _pipeline(spec: SwitchSpec, options: SynthesisOptions,
                 mapped = {v: stored.get(v.name) for v in built.model.variables}
                 if all(val is not None for val in mapped.values()):
                     warm_values, warm_source = mapped, "store"
-                    recorder.counters["store_warm_incumbent"] = 1
+                    counters["store_warm_incumbent"] = 1
         if warm_values is None and options.heuristic_incumbent:
             from repro.core.heuristic import model_assignment, synthesize_greedy
 
-            with recorder.phase("heuristic"):
+            with timings.phase("heuristic"):
                 greedy = synthesize_greedy(spec, verify=False,
                                            pressure_sharing=False,
                                            time_limit=deadline.remaining())
@@ -448,8 +459,8 @@ def _pipeline(spec: SwitchSpec, options: SynthesisOptions,
         warm_source=warm_source,
     )
     # The model reports its own sub-phases (linearize/presolve/solve/...).
-    recorder.timings.merge(sol.timings)
-    recorder.counters.update(sol.counters)
+    timings.merge(sol.timings)
+    counters.update(sol.counters)
 
     if sol.status is SolveStatus.OPTIMAL and sol.values is not None \
             and (context is not None or store is not None):
@@ -472,14 +483,14 @@ def _pipeline(spec: SwitchSpec, options: SynthesisOptions,
         return SynthesisResult(spec, SynthesisStatus.TIMEOUT,
                                solver=sol.solver)
 
-    with recorder.phase("extract"):
+    with timings.phase("extract"):
         result = _extract(built, sol)
     result.status = (SynthesisStatus.OPTIMAL if sol.is_optimal
                      else SynthesisStatus.FEASIBLE)
     result.solver = sol.solver
     result.objective = sol.objective
 
-    with recorder.phase("analyze"):
+    with timings.phase("analyze"):
         result.valves = analyze_valves(
             spec.switch, result.flow_paths, result.flow_sets)
         result.reduced = reduce_switch(
@@ -491,7 +502,7 @@ def _pipeline(spec: SwitchSpec, options: SynthesisOptions,
         # this phase can no longer blow through the time limit. Timed
         # as its own "pressure" phase so --profile shows it separately
         # from the pure valve analysis above.
-        with recorder.phase("pressure"):
+        with timings.phase("pressure"):
             result.pressure = share_pressure(
                 result.valves.status,
                 valves=sorted(result.valves.essential),
@@ -501,10 +512,10 @@ def _pipeline(spec: SwitchSpec, options: SynthesisOptions,
                 on_timeout="greedy",
             )
         if result.pressure.degraded:
-            recorder.counters["pressure_degraded"] = 1
+            counters["pressure_degraded"] = 1
 
     if options.verify:
-        with recorder.phase("verify"):
+        with timings.phase("verify"):
             verify_result(result)
     return result
 

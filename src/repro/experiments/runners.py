@@ -148,61 +148,40 @@ def run_figures_4_1_4_2(time_limit: float = 60,
     return report
 
 
-def _artificial_one(task):
-    """Worker body for the parallel artificial sweep (picklable).
-
-    Exceptions are captured into an error row — one crashing case must
-    not discard the rows every other worker already produced.
-    """
-    index, spec, options = task
-    try:
-        result = synthesize(spec, options)
-    except Exception as exc:
-        row = {
-            "case": spec.name,
-            "#m": len(spec.modules),
-            "sw. size": spec.switch.size_label,
-            "binding": spec.binding.value,
-            "result": "error",
-            "error": f"{type(exc).__name__}: {exc}",
-        }
-        return index, row, False
-    return index, result.table_row(), result.status.solved
-
-
 def run_artificial(count: int = 18, time_limit: float = 20,
                    outdir: Optional[Union[str, Path]] = None,
-                   workers: int = 1,
                    backend: Optional[str] = None) -> ExperimentReport:
     """§4.2 — the artificial scheduling suite (subset by default).
 
-    The cases are independent, so ``workers > 1`` fans them out over a
-    process pool; rows keep the input order either way. ``backend`` can
-    alternatively parallelize *within* each solve (``"parallel_bb:4"``).
+    ``backend`` can parallelize *within* each solve (``"parallel_bb:4"``);
+    :func:`repro.experiments.run_batch` fans independent cases out over
+    processes.
     """
     report = ExperimentReport("artificial", "§4.2 — artificial cases")
     specs = suite_90()
     step = max(1, len(specs) // count)
-    chosen = specs[::step]
-    tasks = [(i, spec, _options(time_limit, backend))
-             for i, spec in enumerate(chosen)]
-    if workers > 1 and len(tasks) > 1:
-        import multiprocessing as mp
-
-        ctx = mp.get_context("spawn")
-        with ctx.Pool(processes=min(workers, len(tasks))) as pool:
-            outcomes = sorted(pool.map(_artificial_one, tasks))
-    else:
-        outcomes = [_artificial_one(task) for task in tasks]
-    solved = failed = crashed = 0
-    for _, row, ok in outcomes:
-        report.rows.append(row)
-        if ok:
+    options = _options(time_limit, backend)
+    solved = crashed = 0
+    for spec in specs[::step]:
+        # A crash becomes an error row: one crashing case must not
+        # discard the rows of the others.
+        try:
+            result = synthesize(spec, options)
+        except Exception as exc:
+            crashed += 1
+            report.rows.append({
+                "case": spec.name,
+                "#m": len(spec.modules),
+                "sw. size": spec.switch.size_label,
+                "binding": spec.binding.value,
+                "result": "error",
+                "error": f"{type(exc).__name__}: {exc}",
+            })
+            continue
+        report.rows.append(result.table_row())
+        if result.status.solved:
             solved += 1
-        else:
-            failed += 1
-            if row.get("result") == "error":
-                crashed += 1
+    failed = len(report.rows) - solved
     report.note(f"solved {solved}, failed {failed} of {solved + failed} run")
     if crashed:
         report.note(f"!! {crashed} case(s) crashed (see their 'error' column)")

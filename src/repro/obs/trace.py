@@ -5,11 +5,11 @@ append-only buffer:
 
 * **spans** — hierarchical wall-clock intervals with ids, parent links
   and attributes (``span_begin``/``span_end`` record pairs). Every
-  :meth:`repro.perf.record.PerfRecorder.phase` automatically opens a
-  span on the installed tracer, so the synthesis pipeline
-  (catalog → build → … → verify), ``Model.solve`` sub-phases and the
-  ``parallel_bb`` worker spans all appear in one tree without any
-  call-site changes.
+  :meth:`repro.perf.PhaseTimings.phase` opens a span on the installed
+  tracer while it times its phase, so the synthesis pipeline
+  (catalog → build → … → verify), the ``Model.solve`` sub-phases
+  (linearize, solve with the backend's presolve inside it, check) and
+  the ``parallel_bb`` worker spans all appear in one tree.
 * **events** — typed point-in-time records from the search internals:
   ``incumbent`` (objective + wall time), ``bound``, ``cut_round``,
   ``progress``, ``deadline``, ``degrade``, ``fault_injected``,

@@ -161,12 +161,11 @@ class IncrementalLP:
             A_ub, b_ub, A_eq, b_eq = compiled.split_form()
             self._A_ub, self._b_ub = A_ub, b_ub
             self._A_eq, self._b_eq = A_eq, b_eq
-        # Metric instruments are resolved once here (not per solve) so
-        # the traced hot path pays one attribute check per LP re-solve;
-        # with tracing disabled both stay None.
+        # The histogram is resolved once here (not per solve) so the
+        # traced hot path pays one attribute check per LP re-solve; with
+        # tracing disabled it stays None. The LP count itself is the
+        # search's lp_calls counter, which the result carries.
         tracer = current_tracer()
-        self._lp_counter = (tracer.metrics.counter("lp_resolves")
-                            if tracer is not None else None)
         self._lp_iter_hist = (tracer.metrics.histogram("lp_iterations_per_resolve")
                               if tracer is not None else None)
 
@@ -269,8 +268,7 @@ class IncrementalLP:
             res = self._solve_linprog()
         self.lp_calls += 1
         self.lp_iterations += res.nit
-        if self._lp_counter is not None:
-            self._lp_counter.inc()
+        if self._lp_iter_hist is not None:
             self._lp_iter_hist.observe(res.nit)
         return res
 

@@ -15,7 +15,7 @@ import time
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ModelError, SolverError
-from repro.obs.trace import obs_event, obs_span
+from repro.obs.trace import obs_event
 from repro.opt.expr import (
     Constraint,
     ExprLike,
@@ -293,7 +293,7 @@ class Model:
         limit); any structural mutation invalidates the cache.
         """
         from repro.opt.solvers import get_backend
-        from repro.perf import PerfRecorder
+        from repro.perf import PhaseTimings
 
         start = time.perf_counter()
         cache_key = (self._version, backend, float(mip_gap))
@@ -301,17 +301,16 @@ class Model:
         if cached is not None:
             hit = cached.clone()
             hit.runtime = time.perf_counter() - start
-            hit.timings = type(hit.timings)()
-            hit.timings.add("solve", hit.runtime)
+            hit.timings = PhaseTimings(solve=hit.runtime)
             hit.counters["resolve_cache_hit"] = 1
             obs_event("cache_hit", kind="resolve", model=self.name,
                       status=hit.status.value)
             return hit
 
-        recorder = PerfRecorder(self.name)
+        timings = PhaseTimings()
         # The "linearize" phase is the whole compile: flattening the
         # model and linearizing its products (a cache hit when unchanged).
-        with recorder.phase("linearize"):
+        with timings.phase("linearize"):
             compiled = self.compiled()
 
         warm = None
@@ -320,23 +319,18 @@ class Model:
                                           warm_source)
 
         solver = get_backend(backend)
-        t_backend = time.perf_counter()
-        # The timings ledger splits presolve out of the backend wall time
-        # below; the span deliberately covers the whole backend call so
-        # solver-internal spans and events nest under one "solve" node.
-        with obs_span("solve", kind="phase", model=self.name,
-                      backend=solver.name):
+        # The "solve" span covers the whole backend call, so the
+        # backend's "presolve" span and its search events nest under it.
+        # The ledger keeps presolve apart: the backend reports it in
+        # solution.timings, and "solve" keeps only the remainder, so
+        # presolve + solve is the backend wall time.
+        with timings.phase("solve", model=self.name, backend=solver.name):
             solution = solver.solve(
                 self, time_limit=time_limit, mip_gap=mip_gap,
                 verbose=verbose, warm_start=warm,
             )
-        # The backend reports its presolve share in solution.timings;
-        # record only the remainder as "solve" so the merged breakdown
-        # does not double-count (presolve + solve == backend wall time).
-        backend_s = time.perf_counter() - t_backend
-        recorder.timings.add(
-            "solve", max(0.0, backend_s - solution.timings.get("presolve", 0.0))
-        )
+        timings.merge(solution.timings)
+        timings.add("solve", -solution.timings.get("presolve", 0.0))
 
         if compiled.products and solution.values is not None:
             solution = solution.restrict(set(self.variables))
@@ -344,7 +338,7 @@ class Model:
         if solution.has_solution:
             assignment = {v: solution.values[v] for v in self.variables}
             if solution.is_optimal:
-                with recorder.phase("check"):
+                with timings.phase("check"):
                     violated = self.check_assignment(assignment, tol=1e-5)
                 if violated:
                     raise SolverError(
@@ -356,7 +350,7 @@ class Model:
             solution.objective = self.objective.value(assignment)
         solution.runtime = time.perf_counter() - start
         solution.model_name = self.name
-        solution.timings.merge(recorder.timings)
+        solution.timings = timings
         obs_event("solve_result", model=self.name, solver=solution.solver,
                   status=solution.status.value, objective=solution.objective,
                   runtime=round(solution.runtime, 6))

@@ -22,7 +22,7 @@ Design invariants (the determinism contract, asserted by
   its branch decisions (``var*2 + is_ub`` per level). Ties in the heap
   break on a CRC32 of the path — a pure function of identity, never of
   arrival time. The rolling CRC32 over all explored paths is
-  reported as the ``node_order_hash`` counter.
+  reported as ``node_order_hash`` in the solution's counters.
 * **Tasks without side state.** A task's branching choice is a pure
   function of its node's LP solution (most-fractional, lowest index on
   ties), and nothing but the task's leftovers, counters and best

@@ -57,6 +57,7 @@ from repro.opt.parallel import (
 )
 from repro.opt.result import Solution, SolveStatus
 from repro.opt.solvers.base import SolverBackend
+from repro.perf import PhaseTimings
 
 
 def default_workers() -> int:
@@ -96,20 +97,20 @@ class ParallelBranchBoundBackend(SolverBackend):
         deadline = Deadline.start(time_limit)
         from repro.opt.presolve import presolve
 
-        reduction = presolve(model)
-        presolve_s = deadline.elapsed()
+        timings = PhaseTimings()
+        with timings.phase("presolve"):
+            reduction = presolve(model)
         if reduction.proven_infeasible:
             sol = Solution(SolveStatus.INFEASIBLE, solver=self.name,
                            message="presolve proved infeasibility")
-            sol.timings.add("presolve", presolve_s)
-            return sol
-        sol = self._search(reduction.form, deadline, mip_gap, warm_start)
-        if sol.values is not None:
-            found, fixed = sol.values, reduction.fixed
-            sol.values = {v: fixed[v] if v in fixed else found[v]
-                          for v in model.compiled().variables}
-        sol.timings.add("presolve", presolve_s)
-        sol.counters["presolve_fixed"] = len(reduction.fixed)
+        else:
+            sol = self._search(reduction.form, deadline, mip_gap, warm_start)
+            if sol.values is not None:
+                found, fixed = sol.values, reduction.fixed
+                sol.values = {v: fixed[v] if v in fixed else found[v]
+                              for v in model.compiled().variables}
+            sol.counters["presolve_fixed"] = len(reduction.fixed)
+        sol.timings = timings
         return sol
 
     def _search(self, form, deadline: Deadline, mip_gap: float,
@@ -129,10 +130,7 @@ class ParallelBranchBoundBackend(SolverBackend):
                 coord_span = stack.enter_context(tracer.span(
                     "parallel_bb", workers=self.workers, batch=DISPATCH_BATCH,
                     task_budget=TASK_NODE_BUDGET))
-                # Named distinctly from the "bb_workers" *result
-                # counter*: synthesize() folds result counters into the
-                # registry as Counters, and one name cannot be both.
-                tracer.metrics.gauge("bb_pool_workers").set(self.workers)
+                tracer.metrics.gauge("bb_workers").set(self.workers)
 
             explorer = SubtreeExplorer(form, solver=self.name)
             if tracer is not None and explorer.cuts:
@@ -339,11 +337,6 @@ class ParallelBranchBoundBackend(SolverBackend):
                 })
             if incumbent_source:
                 counters["incumbent_seeded"] = 1
-            if tracer is not None and pool is not None:
-                tracer.metrics.counter("bb_steals").inc(pool.steals)
-                if pool.restarts:
-                    tracer.metrics.counter("bb_worker_restarts").inc(
-                        pool.restarts)
 
             if incumbent_x is None:
                 if stopped is not None:

@@ -1,27 +1,23 @@
-"""Performance instrumentation: phase timers, counters, BENCH emitter.
+"""Phase timings and the BENCH_opt.json snapshot format.
 
-Every synthesis run can carry a :class:`PerfRecorder` that accumulates a
-wall-clock breakdown over the pipeline phases (catalog / build /
-linearize / presolve / solve / extract / verify) plus arbitrary event
-counters (cache hits, solver nodes, ...). Recorders are cheap enough to
-be always-on; the CLI surfaces them behind ``--profile`` and the
-benchmark harness serializes them to ``BENCH_opt.json`` so the perf
-trajectory is diffable across PRs.
+Every synthesis result carries a :class:`PhaseTimings` ledger: the wall
+clock of each pipeline phase (catalog / build / linearize / presolve /
+solve / extract / verify, ...), timed by :meth:`PhaseTimings.phase`,
+which is also the span of that phase when a tracer is installed. The
+CLI prints the ledger behind ``--profile`` with
+:func:`format_phase_table`, and the benchmark harness writes it to
+``BENCH_opt.json`` so the perf trajectory is diffable across commits.
 """
 
 from repro.perf.record import (
-    PerfRecorder,
     PhaseTimings,
     emit_bench_json,
     format_phase_table,
     load_bench_json,
-    phase_timer,
 )
 
 __all__ = [
-    "PerfRecorder",
     "PhaseTimings",
-    "phase_timer",
     "emit_bench_json",
     "load_bench_json",
     "format_phase_table",

@@ -1,19 +1,20 @@
-"""Phase timing and counter primitives.
+"""The phase ledger, its report table, and the BENCH_opt.json reader/writer.
 
-The recorder is deliberately tiny: a dict of phase -> seconds and a dict
-of counter -> int, filled through a context manager. It nests — timing
-``solve`` around a backend that itself times ``presolve`` simply yields
-two entries — and merges, so :meth:`repro.opt.model.Model.solve` can
-fold its sub-phase breakdown into the synthesizer's recorder.
+:class:`PhaseTimings` is a dict of phase -> seconds filled through its
+:meth:`~PhaseTimings.phase` context manager, the one timer of the
+pipeline: each phase it times is also a span when a tracer is installed
+(:mod:`repro.obs`). Ledgers nest by merging: ``Model.solve`` returns
+its sub-phases in ``solution.timings`` and the synthesizer folds them
+into the run's ledger.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.obs.trace import current_tracer
 
@@ -24,9 +25,8 @@ from repro.obs.trace import current_tracer
 #: instead of the alphabetical tail ("check" is Model.solve's
 #: post-backend assignment validation).
 PHASE_ORDER = [
-    "catalog", "build", "heuristic", "compile", "linearize", "presolve",
-    "solve", "solve_backend", "check", "extract", "analyze", "pressure",
-    "verify", "degrade",
+    "catalog", "build", "heuristic", "linearize", "presolve", "solve",
+    "check", "extract", "analyze", "pressure", "verify", "degrade",
 ]
 
 
@@ -49,61 +49,23 @@ class PhaseTimings(Dict[str, float]):
         extra = sorted(p for p in self if p not in PHASE_ORDER)
         return known + extra
 
-
-class PerfRecorder:
-    """Accumulates phase timings and event counters for one run."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.timings = PhaseTimings()
-        self.counters: Dict[str, int] = {}
-
     @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        # Every timed phase doubles as an observability span when a
-        # tracer is installed (repro.obs); the disabled path costs one
-        # module-global None check.
+    def phase(self, name: str, **attrs: Any) -> Iterator[None]:
+        """Add the block's wall time to phase ``name``.
+
+        With a tracer installed the block is also a span named ``name``
+        with ``kind="phase"`` and ``attrs``; without one, the cost beyond
+        the clock reads is a module-global None check and a null
+        context. The time is recorded when the block raises, too.
+        """
         tracer = current_tracer()
-        if tracer is None:
+        with (tracer.span(name, kind="phase", **attrs) if tracer is not None
+              else nullcontext()):
             start = time.perf_counter()
             try:
                 yield
             finally:
-                self.timings.add(name, time.perf_counter() - start)
-            return
-        with tracer.span(name, kind="phase"):
-            start = time.perf_counter()
-            try:
-                yield
-            finally:
-                self.timings.add(name, time.perf_counter() - start)
-
-    def count(self, name: str, increment: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + increment
-
-    def record(self) -> Dict[str, object]:
-        """One serializable record (the BENCH_opt.json row format)."""
-        out: Dict[str, object] = {
-            "name": self.name,
-            "phases": {p: round(self.timings[p], 6) for p in self.timings.ordered()},
-            "total_s": round(self.timings.total, 6),
-        }
-        if self.counters:
-            out["counters"] = dict(sorted(self.counters.items()))
-        return out
-
-    def __repr__(self) -> str:
-        return f"PerfRecorder({self.name!r}, total={self.timings.total:.3f}s)"
-
-
-@contextmanager
-def phase_timer(recorder: Optional[PerfRecorder], name: str) -> Iterator[None]:
-    """Time a phase on ``recorder``; a no-op when ``recorder`` is None."""
-    if recorder is None:
-        yield
-        return
-    with recorder.phase(name):
-        yield
+                self.add(name, time.perf_counter() - start)
 
 
 def format_phase_table(timings: Dict[str, float], indent: str = "  ") -> str:

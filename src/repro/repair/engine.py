@@ -40,13 +40,12 @@ from repro.errors import RepairError
 from repro.obs.trace import obs_event
 from repro.opt.incremental import SolveContext
 from repro.sim.faults import FaultKind, ValveFault
-from repro.switches.base import segment_key
 from repro.switches.health import (
     HealthMask,
     ReachabilityReport,
     reachability_report,
 )
-from repro.switches.paths import Path
+from repro.switches.paths import Path, path_from_vertices
 
 Faults = Union[HealthMask, Iterable[ValveFault]]
 
@@ -245,18 +244,8 @@ def _seed_result(spec: SwitchSpec, prior: SynthesisResult):
             vertices = nx.shortest_path(graph, src, dst, weight="length")
         except (nx.NetworkXNoPath, nx.NodeNotFound):
             return surviving, broken, None
-        segs = frozenset(segment_key(a, b)
-                         for a, b in zip(vertices, vertices[1:]))
-        flow_paths[fid] = Path(
-            index=next(counter),
-            source_pin=src,
-            target_pin=dst,
-            vertices=tuple(vertices),
-            nodes=frozenset(v for v in vertices
-                            if not spec.switch.is_pin(v)),
-            segments=segs,
-            length=sum(spec.switch.segments[k].length for k in segs),
-        )
+        flow_paths[fid] = path_from_vertices(spec.switch, next(counter),
+                                             vertices)
 
     used = {k for p in flow_paths.values() for k in p.segments}
     seed = SynthesisResult(

@@ -385,28 +385,36 @@ class SynthesisService:
         with self._lock:
             return sum(1 for job in self.jobs.values() if not job.terminal)
 
-    def run_until_complete(self, poll: float = 0.05,
-                           timeout: Optional[float] = None) -> str:
+    def run_until_complete(self, timeout: Optional[float] = None) -> str:
         """Process until every job is terminal or shutdown is requested.
 
         Returns ``"complete"``, ``"interrupted"`` (a signal or
-        :meth:`request_shutdown` arrived) or ``"timeout"``.
+        :meth:`request_shutdown` arrived) or ``"timeout"``. Sleeps on
+        the terminal condition, which every terminal transition, every
+        finished attempt and :meth:`request_shutdown` notify. A signal
+        handled between a check and the wait is seen at the next of
+        those notifications, at the latest when the attempt in flight
+        ends.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            if self._shutdown_requested.is_set():
-                return "interrupted"
-            if self.outstanding() == 0:
-                return "complete"
-            if deadline is not None and time.monotonic() >= deadline:
-                return "timeout"
-            self._shutdown_requested.wait(poll)
+        end = None if timeout is None else time.monotonic() + timeout
+        self._wait_until(lambda: self._shutdown_requested.is_set()
+                         or self.outstanding() == 0, end)
+        if self._shutdown_requested.is_set():
+            return "interrupted"
+        return "complete" if self.outstanding() == 0 else "timeout"
 
     # -- shutdown --------------------------------------------------------
     def request_shutdown(self, signum: Optional[int] = None) -> None:
-        """Signal-safe: flag the shutdown; the control loop drains."""
+        """Signal-safe: flag the shutdown; the control loop drains.
+
+        A signal handler runs on the main thread, possibly while that
+        thread holds the service lock; the lock is re-entrant, so the
+        notification below cannot deadlock there.
+        """
         self.shutdown_signal = signum
         self._shutdown_requested.set()
+        with self._terminal:
+            self._terminal.notify_all()
 
     def stop(self, drain: Union[bool, str] = True,
              deadline: Optional[float] = None) -> Dict[str, int]:
@@ -434,21 +442,12 @@ class SynthesisService:
                 return {"completed": 0, "pending": self.outstanding()}
             self._state = "draining" if drain else "stopping"
         end = None if deadline is None else time.monotonic() + deadline
-        completed = 0
         if drain in (True, "all"):
-            while self.outstanding() > 0 and \
-                    (end is None or time.monotonic() < end):
-                time.sleep(0.02)
+            self._wait_until(lambda: self.outstanding() == 0, end)
         self.queue.close()
         leftovers = self.queue.drain()
         if drain == "inflight":
-            while True:
-                with self._lock:
-                    busy = self._in_flight
-                if busy == 0 or (end is not None
-                                 and time.monotonic() >= end):
-                    break
-                time.sleep(0.02)
+            self._wait_until(lambda: self._in_flight == 0, end)
         join_timeout = 5.0 if end is None \
             else max(0.1, end - time.monotonic())
         self._supervisor.stop(timeout=join_timeout)
@@ -462,6 +461,17 @@ class SynthesisService:
             self._journal.close()
         self._sync_gauges()
         return {"completed": completed, "pending": pending}
+
+    def _wait_until(self, done: Callable[[], bool],
+                    end: Optional[float]) -> None:
+        """Sleep on the terminal condition until ``done()`` holds or the
+        monotonic time ``end`` (None = no limit) passes."""
+        with self._terminal:
+            while not done():
+                remaining = None if end is None else end - time.monotonic()
+                if remaining is not None and remaining <= 0:
+                    return
+                self._terminal.wait(remaining)
 
     # -- worker body -----------------------------------------------------
     def _work(self, worker_id: int) -> bool:
@@ -488,8 +498,9 @@ class SynthesisService:
             self._rescue_crashed(job, exc)
             raise
         finally:
-            with self._lock:
+            with self._terminal:
                 self._in_flight -= 1
+                self._terminal.notify_all()
             self._sync_gauges()
         return True
 

@@ -273,6 +273,14 @@ class SwitchModel:
         """Total flow channel length of the full (unreduced) model, mm."""
         return sum(s.length for s in self.segments.values())
 
+    def length_of(self, keys: Iterable[Tuple[str, str]]) -> float:
+        """Total length of the segments ``keys``, mm.
+
+        Summed in sorted key order: a set's own order follows the string
+        hash seed, and so would the last bit of the sum.
+        """
+        return sum(self.segments[k].length for k in sorted(keys))
+
     def bounding_box(self) -> Tuple[Point, Point]:
         xs = [p.x for p in self.coords.values()]
         ys = [p.y for p in self.coords.values()]

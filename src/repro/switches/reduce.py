@@ -74,7 +74,7 @@ class ReducedSwitch:
     @property
     def flow_channel_length(self) -> float:
         """Total length L of the surviving flow channels, mm."""
-        return sum(self.parent.segments[k].length for k in self.used_segments)
+        return self.parent.length_of(self.used_segments)
 
     @property
     def num_valves(self) -> int:

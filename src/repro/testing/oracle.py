@@ -109,7 +109,7 @@ def brute_force(spec: SwitchSpec) -> SynthesisResult:
                 "brute_force is for tiny specs only")
         for paths in itertools.product(*choices):
             used = set().union(*(p.segments for p in paths))
-            length = sum(spec.switch.segments[k].length for k in used)
+            length = spec.switch.length_of(used)
             routings.append((length, len(routings), binding, paths))
     routings.sort(key=lambda r: r[:2])
 

@@ -110,3 +110,15 @@ def test_docs_name_only_real_backends():
 
     unknown = [(doc, name) for doc, name in found if not known(name)]
     assert not unknown, f"docs name unknown backends: {unknown}"
+
+
+def test_observability_doc_lists_the_published_counts():
+    """The published-count table of docs/observability.md names exactly
+    the counts a traced ``synthesize`` publishes, in the same order."""
+    from repro.core.synthesizer import PUBLISHED_COUNTS
+
+    text = (ROOT / "docs" / "observability.md").read_text(encoding="utf-8")
+    section = text.split("#### Published per-run counts", 1)[1]
+    table = section.split("\n\n", 2)[1]
+    names = tuple(re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE))
+    assert names == PUBLISHED_COUNTS

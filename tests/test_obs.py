@@ -400,8 +400,9 @@ def test_traced_synthesis_records_full_pipeline(tmp_path):
     assert any(obj == pytest.approx(result.objective) for obj in objectives)
 
     metric_names = {r["name"] for r in records if r["type"] == "metric"}
-    assert {"synthesize_runs", "lp_resolves",
+    assert {"synthesize_runs", "lp_calls",
             "lp_iterations_per_resolve"} <= metric_names
+    assert "lp_resolves" not in metric_names
 
     # both exporters accept the real stream
     jsonl = write_trace_jsonl(tracer, tmp_path / "run.jsonl",
@@ -419,6 +420,118 @@ def test_tracing_does_not_change_results():
     assert traced.objective == plain.objective
     assert traced.binding == plain.binding
     assert traced.status == plain.status
+
+
+def test_presolve_span_nests_in_solve_and_stays_out_of_its_ledger(
+        monkeypatch):
+    """The backend's presolve is a span inside the "solve" span, while
+    the ledger's "solve" entry excludes the presolve time."""
+    import importlib
+    import time
+
+    # repro.opt re-exports the function under the module's own name.
+    presolve_module = importlib.import_module("repro.opt.presolve")
+    real = presolve_module.presolve
+
+    def slow_presolve(model):
+        time.sleep(0.2)
+        return real(model)
+
+    monkeypatch.setattr(presolve_module, "presolve", slow_presolve)
+    tracer = Tracer()
+    result = synthesize(chip_sw1(BindingPolicy.FIXED),
+                        SynthesisOptions(backend="branch_bound",
+                                         pressure_sharing=False,
+                                         trace=tracer))
+    assert result.status.solved
+    records = tracer.records(with_metrics=False)
+    begins = {r["span"]: r for r in records if r["type"] == "span_begin"}
+    ends = {r["span"]: r for r in records if r["type"] == "span_end"}
+    (presolve,) = [r for r in begins.values() if r["name"] == "presolve"]
+    solve = begins[presolve["parent"]]
+    assert solve["name"] == "solve"
+    assert solve["attrs"]["backend"] == "branch_bound"
+    assert ends[solve["span"]]["dur"] >= ends[presolve["span"]]["dur"] >= 0.2
+    assert result.timings["presolve"] >= 0.2
+    assert result.timings["solve"] < 0.2
+
+
+def test_registry_counts_equal_the_results(tmp_path, monkeypatch):
+    """Every published count reaches the registry once, as a counter
+    holding its sum over the runs' ``result.counters``."""
+    from repro.cases import generate_case
+    from repro.core.synthesizer import PUBLISHED_COUNTS
+    from repro.opt.solvers import register_backend, unregister_backend
+    from repro.opt.solvers.parallel_bb import ParallelBranchBoundBackend
+    from repro.service import SynthesisService
+    from repro.service import service as service_module
+    from repro.store import Store
+    from repro.testing import FaultPlan, install_faulty_backend
+
+    small = generate_case(seed=5, switch_size=8, n_flows=3, n_inlets=2,
+                          n_conflicts=0, binding=BindingPolicy.FIXED)
+    # 12 pins, 3 flows, clockwise: the search reaches its rounds.
+    rounds = generate_case(1, switch_size=12, n_flows=3, n_conflicts=1,
+                           binding=BindingPolicy.CLOCKWISE)
+    tracer = Tracer()
+    results = []
+
+    def run(spec, **kw):
+        result = synthesize(spec, SynthesisOptions(time_limit=120,
+                                                   trace=tracer, **kw))
+        assert result.status.solved, result.error
+        results.append(result)
+        return result
+
+    run(small, backend="highs")
+    run(chip_sw1(BindingPolicy.FIXED), backend="branch_bound")
+    register_backend("chaos_bb", lambda: ParallelBranchBoundBackend(
+        2, fault_plan=FaultPlan(schedule=["kill"])), replace=True)
+    try:
+        chaos = run(rounds, backend="chaos_bb")
+    finally:
+        unregister_backend("chaos_bb")
+    if chaos.counters["bb_workers"] < 2:  # pragma: no cover
+        pytest.skip("worker pool unavailable in this environment")
+    assert chaos.counters["bb_rounds"] >= 1
+    assert chaos.counters["bb_worker_restarts"] >= 1
+
+    store = Store(tmp_path / "store")
+    assert run(small, store=store).counters.get("store_put") == 1
+    assert run(small, store=store).counters.get("store_hit") == 1
+    with install_faulty_backend(plan=FaultPlan(schedule=["crash"])):
+        assert run(small, backend="faulty",
+                   pressure_sharing=False).counters.get("degraded") == 1
+
+    real = service_module.synthesize
+
+    def recorded(spec, options=None, context=None):
+        result = real(spec, options, context)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(service_module, "synthesize", recorded)
+    with use_tracer(tracer):
+        with SynthesisService(workers=1) as service:
+            job_id = service.submit(generate_case(
+                seed=6, switch_size=8, n_flows=2, n_inlets=2,
+                n_conflicts=0, binding=BindingPolicy.FIXED))
+            assert service.wait(job_id, timeout=120).state == "done"
+    assert len(results) == 7
+
+    snapshot = tracer.metrics.snapshot()
+    for name in PUBLISHED_COUNTS:
+        total = sum(r.counters.get(name, 0) for r in results)
+        if total:
+            assert snapshot[name] == {"kind": "counter", "value": total}, name
+        elif name in snapshot:
+            assert snapshot[name]["kind"] == "counter", name
+            assert snapshot[name]["value"] == 0, name
+    assert snapshot["bb_worker_restarts"]["value"] \
+        == chaos.counters["bb_worker_restarts"]
+    assert "node_order_hash" not in snapshot
+    assert "lp_resolves" not in snapshot
+    assert snapshot["bb_workers"]["kind"] == "gauge"
 
 
 # ---------------------------------------------------------------------------

@@ -197,7 +197,7 @@ def test_traced_search_announces_each_incumbent_once(backend):
     metrics = {r["name"] for r in records if r["type"] == "metric"}
     has_rounds = backend != "branch_bound"
     assert ("parallel_bb" in spans) is has_rounds
-    assert ("bb_pool_workers" in metrics) is has_rounds
+    assert ("bb_workers" in metrics) is has_rounds
 
 
 # ----------------------------------------------------------------------

@@ -5,12 +5,10 @@ import time
 import pytest
 
 from repro.perf import (
-    PerfRecorder,
     PhaseTimings,
     emit_bench_json,
     format_phase_table,
     load_bench_json,
-    phase_timer,
 )
 
 
@@ -40,45 +38,21 @@ def test_phase_timings_ordered_canonical_first():
 
 
 def test_recorder_phase_context_manager():
-    rec = PerfRecorder("demo")
-    with rec.phase("solve"):
+    timings = PhaseTimings()
+    with timings.phase("solve"):
         time.sleep(0.01)
-    assert rec.timings["solve"] >= 0.005
+    assert timings["solve"] >= 0.005
+    with timings.phase("solve"):  # a repeated phase accumulates
+        pass
+    assert list(timings) == ["solve"]
 
 
 def test_recorder_phase_records_on_exception():
-    rec = PerfRecorder()
+    timings = PhaseTimings()
     with pytest.raises(RuntimeError):
-        with rec.phase("solve"):
+        with timings.phase("solve"):
             raise RuntimeError("boom")
-    assert "solve" in rec.timings
-
-
-def test_recorder_counters():
-    rec = PerfRecorder()
-    rec.count("lp_relaxations")
-    rec.count("lp_relaxations", 4)
-    assert rec.counters == {"lp_relaxations": 5}
-
-
-def test_recorder_record_shape():
-    rec = PerfRecorder("case_x")
-    rec.timings.add("build", 0.5)
-    rec.count("nodes", 3)
-    row = rec.record()
-    assert row["name"] == "case_x"
-    assert row["phases"] == {"build": 0.5}
-    assert row["total_s"] == pytest.approx(0.5)
-    assert row["counters"] == {"nodes": 3}
-
-
-def test_phase_timer_none_recorder_is_noop():
-    with phase_timer(None, "anything"):
-        pass
-    rec = PerfRecorder()
-    with phase_timer(rec, "solve"):
-        pass
-    assert "solve" in rec.timings
+    assert "solve" in timings
 
 
 def test_format_phase_table():
@@ -147,27 +121,30 @@ def test_phase_order_covers_pipeline_tail():
 
 
 def test_nested_phases_record_both_levels():
-    rec = PerfRecorder()
-    with rec.phase("solve"):
-        with rec.phase("presolve"):
+    timings = PhaseTimings()
+    with timings.phase("solve"):
+        with timings.phase("presolve"):
             time.sleep(0.002)
-    assert set(rec.timings) == {"solve", "presolve"}
-    assert rec.timings["solve"] >= rec.timings["presolve"]
+    assert set(timings) == {"solve", "presolve"}
+    assert timings["solve"] >= timings["presolve"]
 
 
 def test_recorder_phase_emits_span_on_installed_tracer():
     from repro.obs import Tracer, use_tracer
 
-    rec = PerfRecorder()
+    timings = PhaseTimings()
     tracer = Tracer()
     with use_tracer(tracer):
-        with rec.phase("solve"):
-            pass
-    assert rec.timings["solve"] >= 0.0  # timing still recorded
+        with timings.phase("solve"):
+            with timings.phase("presolve", rows=3):
+                pass
+    assert timings["solve"] >= timings["presolve"] >= 0.0
     records = tracer.records(with_metrics=False)
-    names = [r["name"] for r in records if r["type"] == "span_begin"]
-    assert names == ["solve"]
-    assert records[0].get("attrs") == {"kind": "phase"}
+    begins = [r for r in records if r["type"] == "span_begin"]
+    assert [r["name"] for r in begins] == ["solve", "presolve"]
+    assert begins[0].get("attrs") == {"kind": "phase"}
+    assert begins[1].get("attrs") == {"kind": "phase", "rows": 3}
+    assert begins[1]["parent"] == begins[0]["span"]
 
 
 def test_format_phase_table_accepts_plain_dict():

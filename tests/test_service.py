@@ -696,6 +696,49 @@ def test_service_inflight_drain_leaves_queue_journaled(tmp_path):
     assert {j.id for j in replay_journal(path).jobs.values()} == set(ids)
 
 
+def test_waits_sleep_until_notified(monkeypatch):
+    """run_until_complete and stop(drain=True) sleep on the terminal
+    condition: across a job of about 1 s each checks for completion a
+    handful of times, once per notification, not on a timer."""
+    from repro.opt.solvers import get_backend, register_backend, \
+        unregister_backend
+    from repro.opt.solvers.base import SolverBackend
+
+    class SleepyBackend(SolverBackend):
+        name = "sleepy"
+
+        def solve(self, model, **kwargs):
+            time.sleep(1.0)
+            return get_backend("auto").solve(model, **kwargs)
+
+    register_backend("sleepy", SleepyBackend, replace=True)
+    try:
+        opts = SynthesisOptions(time_limit=30, backend="sleepy",
+                                pressure_sharing=False)
+        service = SynthesisService(workers=1, options=opts).start()
+        checks = []
+        outstanding = service.outstanding
+
+        def counted():
+            checks.append(time.monotonic())
+            return outstanding()
+
+        monkeypatch.setattr(service, "outstanding", counted)
+        service.submit(small_spec(0))
+        assert service.run_until_complete(timeout=60) == "complete"
+        assert checks[-1] - checks[0] >= 0.5
+        assert len(checks) <= 5, len(checks)
+
+        checks.clear()
+        service.submit(small_spec(1))
+        assert service.stop(drain=True, deadline=60.0) == \
+            {"completed": 2, "pending": 0}
+        assert checks[-1] - checks[0] >= 0.5
+        assert len(checks) <= 6, len(checks)
+    finally:
+        unregister_backend("sleepy")
+
+
 def test_service_health_and_stats_shapes(tmp_path):
     with SynthesisService(tmp_path / "j.jsonl", workers=1,
                           options=OPTS) as service:
