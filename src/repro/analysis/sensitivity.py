@@ -99,10 +99,9 @@ def weight_sweep(
 
     ``store`` attaches a persistent :class:`repro.store.Store`: a
     repeated sweep answers every point from disk (Tier A — the weights
-    are part of the case, so each weighting is its own entry), and even
-    a *fresh* sweep of a structure the store has seen starts from its
-    stored catalog and incumbent (Tier B). Outcomes are identical with
-    or without a store; only ``runtime_s`` changes.
+    are part of the case, so each weighting is its own entry).
+    Outcomes are identical with or without a store; only ``runtime_s``
+    changes.
     """
     if not weights:
         raise ReproError("need at least one weight pair")

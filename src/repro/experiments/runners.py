@@ -154,8 +154,8 @@ def run_artificial(count: int = 18, time_limit: float = 20,
     """§4.2 — the artificial scheduling suite (subset by default).
 
     ``backend`` can parallelize *within* each solve (``"parallel_bb:4"``);
-    :func:`repro.experiments.run_batch` fans independent cases out over
-    processes.
+    :func:`repro.experiments.run_batch` runs independent cases on
+    several threads at once.
     """
     report = ExperimentReport("artificial", "§4.2 — artificial cases")
     specs = suite_90()

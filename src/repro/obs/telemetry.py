@@ -1,9 +1,9 @@
 """Cross-process telemetry shipping and deterministic merge.
 
 The `repro.obs` tracer is strictly per-process: spans, events and
-metrics recorded inside a shard child, a ``parallel_bb`` worker or a
-spawn-mode batch worker never reach the parent on their own. This
-module is the plane that moves them:
+metrics recorded inside a shard child or a ``parallel_bb`` worker
+never reach the parent on their own. This module is the plane that
+moves them:
 
 * :class:`TelemetryShipper` — child side. Wraps the process-local
   :class:`~repro.obs.trace.Tracer` and cuts bounded, *framed* batches

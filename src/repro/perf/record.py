@@ -40,9 +40,9 @@ class PhaseTimings(Dict[str, float]):
     def add(self, phase: str, seconds: float) -> None:
         self[phase] = self.get(phase, 0.0) + seconds
 
-    def merge(self, other: Dict[str, float], prefix: str = "") -> None:
+    def merge(self, other: Dict[str, float]) -> None:
         for phase, seconds in other.items():
-            self.add(f"{prefix}{phase}", seconds)
+            self.add(phase, seconds)
 
     def ordered(self) -> List[str]:
         known = [p for p in PHASE_ORDER if p in self]

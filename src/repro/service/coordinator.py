@@ -70,7 +70,7 @@ from repro.errors import AdmissionError, ServiceError
 from repro.obs.telemetry import TelemetryCollector, _merge_histogram
 from repro.obs.trace import current_tracer, obs_event
 from repro.service.journal import TERMINAL_STATES
-from repro.service.shard import CTX_ENV, ShardConfig, shard_main
+from repro.service.shard import ShardConfig, shard_main
 
 #: How long to wait for a freshly spawned shard's "up" handshake.
 SPAWN_DEADLINE = 60.0
@@ -86,20 +86,6 @@ WAIT_REREAD = 5.0
 
 class ShardError(ServiceError):
     """A shard RPC failed (dead shard, handler error, protocol break)."""
-
-
-def pick_context() -> mp.context.BaseContext:
-    """The process start method for shards.
-
-    ``spawn`` by default: shards are respawned from the coordinator's
-    monitor *thread*, and forking a multithreaded process is undefined
-    behaviour waiting to happen. ``REPRO_SERVICE_CTX=fork`` opts into
-    faster starts where the embedder knows it is safe.
-    """
-    choice = os.environ.get(CTX_ENV, "").strip().lower()
-    if choice:
-        return mp.get_context(choice)
-    return mp.get_context("spawn")
 
 
 class _Shard:
@@ -157,7 +143,9 @@ class ShardCoordinator:
 
             store = Store(store)
         self.store = store
-        self._ctx = pick_context()
+        # Always spawn: shards are respawned from the monitor *thread*,
+        # and forking a multithreaded process is undefined behaviour.
+        self._ctx = mp.get_context("spawn")
         self._shards: List[_Shard] = []
         for index in range(shards):
             trace = None
@@ -755,5 +743,5 @@ class ShardCoordinator:
         return {"ok": ok, "shards": shard_health}
 
 
-__all__ = ["ShardCoordinator", "ShardError", "pick_context",
-           "SPAWN_DEADLINE", "TELEMETRY_INTERVAL"]
+__all__ = ["ShardCoordinator", "ShardError", "SPAWN_DEADLINE",
+           "TELEMETRY_INTERVAL"]

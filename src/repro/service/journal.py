@@ -22,6 +22,11 @@ anywhere else mean real corruption and raise :class:`JournalError`.
 (temp file + ``os.replace`` + fsync), which a crash can never turn
 into a half-written journal: readers see the old segment or the new
 one, nothing in between.
+
+**Rows**: a terminal job carries its outcome as one flat row, the
+shape :func:`spec_row` and :func:`error_row` build and a batch CSV
+holds (:data:`CSV_COLUMNS`). The service and ``run_batch`` write the
+same rows, so either can read the other's journal.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.errors import JournalError
 from repro.io.atomic import atomic_write
+from repro.obs.manifest import case_fingerprint
 
 #: Schema tag of the journal format; bump on incompatible change.
 JOURNAL_SCHEMA = "repro-service-v1"
@@ -44,6 +50,56 @@ JOURNAL_SCHEMA = "repro-service-v1"
 #: in-flight; the last three are terminal and never re-executed.
 TERMINAL_STATES = ("done", "degraded", "failed")
 JOB_STATES = ("submitted", "pending", "running") + TERMINAL_STATES
+
+#: The columns of a job row, in batch CSV order.
+CSV_COLUMNS = [
+    "case", "fingerprint", "binding", "switch", "modules", "flows",
+    "conflicts", "status", "runtime_s", "objective", "length_mm",
+    "num_sets", "num_valves", "num_control_inlets", "error",
+]
+
+
+def _case_columns(spec: Any) -> Dict[str, Any]:
+    return {
+        "case": spec.name,
+        "fingerprint": case_fingerprint(spec),
+        "binding": spec.binding.value,
+        "switch": spec.switch.size_label,
+        "modules": len(spec.modules),
+        "flows": len(spec.flows),
+        "conflicts": len(spec.conflicts),
+    }
+
+
+def spec_row(spec: Any, result: Any) -> Dict[str, Any]:
+    """The row of one synthesis run."""
+    row = _case_columns(spec)
+    row["status"] = result.status.value
+    row["runtime_s"] = round(result.runtime, 4)
+    if result.status.solved:
+        row.update({
+            "objective": result.objective,
+            "length_mm": round(result.flow_channel_length, 4),
+            "num_sets": result.num_flow_sets,
+            "num_valves": result.num_valves,
+            "num_control_inlets": result.num_control_inlets,
+        })
+    if result.error:
+        row["error"] = result.error
+    return row
+
+
+def error_row(spec: Any, message: str) -> Dict[str, Any]:
+    """The row of a spec whose synthesis raised.
+
+    Deliberately runtime-free: wall time of a crash depends on worker
+    scheduling, and error rows must be identical between serial and
+    parallel runs.
+    """
+    row = _case_columns(spec)
+    row["status"] = "error"
+    row["error"] = message
+    return row
 
 
 @dataclass
@@ -367,5 +423,6 @@ def validate_journal(path: Union[str, Path]) -> Dict[str, int]:
     return counts
 
 
-__all__ = ["JOURNAL_SCHEMA", "JOB_STATES", "TERMINAL_STATES", "JobRecord",
-           "Journal", "replay_journal", "validate_journal"]
+__all__ = ["JOURNAL_SCHEMA", "JOB_STATES", "TERMINAL_STATES", "CSV_COLUMNS",
+           "JobRecord", "Journal", "error_row", "replay_journal", "spec_row",
+           "validate_journal"]

@@ -55,7 +55,13 @@ from repro.obs.telemetry import correlation_id
 from repro.obs.trace import correlate, current_tracer, obs_event
 from repro.service.backoff import Backoff
 from repro.service.breaker import BreakerBoard
-from repro.service.journal import Journal, JobRecord, TERMINAL_STATES
+from repro.service.journal import (
+    TERMINAL_STATES,
+    Journal,
+    JobRecord,
+    error_row,
+    spec_row,
+)
 from repro.service.queue import JobQueue
 from repro.service.supervisor import Supervisor
 
@@ -125,8 +131,8 @@ class SynthesisService:
         #: whose proven-optimal result the store already holds complete
         #: at admission time (re-verified, journaled as done) without
         #: ever occupying a worker; everything else executes with the
-        #: store attached, so Tier B warms the solve and the outcome is
-        #: written through for the next tenant.
+        #: store attached, so a proven-optimal outcome is written
+        #: through for the next tenant.
         if store is not None and not hasattr(store, "get"):
             from repro.store import Store
 
@@ -228,11 +234,16 @@ class SynthesisService:
         queue (higher pops first, FIFO within a band); ``corr``
         overrides the generated correlation ID (the coordinator passes
         one threaded down from ``POST /jobs``). Raises
+        :class:`~repro.errors.SpecError` for a malformed spec, and
         :class:`AdmissionError` when the bounded queue is full or the
         tenant is at quota (the submission is *shed*: nothing is
         journaled, the caller owns the retry) or the service is
         shutting down.
         """
+        # A spec edited after construction can be malformed; refused
+        # here, it never reaches a worker, where every attempt would
+        # fail and count against the backend's circuit breaker.
+        spec.validate()
         opts = options or self.default_options
         job_id = job_id_for(spec, opts)
         with self._lock:
@@ -533,8 +544,6 @@ class SynthesisService:
             return None
         if result is None:
             return None
-        from repro.experiments.batch import spec_row
-
         return spec_row(spec, result)
 
     def _spec_of(self, job: JobRecord) -> SwitchSpec:
@@ -595,8 +604,6 @@ class SynthesisService:
             breaker.release_probe()
             raise
         try:
-            from repro.experiments.batch import spec_row
-
             status = result.status.value
             if result.status.solved or status == "no solution":
                 # Conclusive answers (infeasible included) are terminal.
@@ -621,8 +628,6 @@ class SynthesisService:
     def _fail_attempt(self, job: JobRecord, attempt: int,
                       backend: Optional[str], message: str) -> None:
         if attempt >= self.max_attempts:
-            from repro.experiments.batch import error_row
-
             row = error_row(self._spec_of(job), message)
             self._finish(job, attempt, "failed", row, message)
             return

@@ -62,9 +62,8 @@ journal keeps the rest.
 
 Spawn-safety: :func:`shard_main` is a module-level entry point and
 :class:`ShardConfig` is a plain picklable dataclass, so shards start
-under the ``spawn`` context (the default — respawning from the
-coordinator's monitor thread must not fork a threaded process) as well
-as ``fork`` (``REPRO_SERVICE_CTX=fork`` for faster starts where safe).
+under the ``spawn`` context (respawning from the coordinator's monitor
+thread must not fork a threaded process).
 """
 
 from __future__ import annotations
@@ -79,10 +78,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError
 from repro.service.backoff import Backoff
-
-#: Environment override for the shard process start method
-#: (``spawn``/``fork``/``forkserver``); empty picks the default.
-CTX_ENV = "REPRO_SERVICE_CTX"
 
 
 @dataclass
@@ -279,4 +274,4 @@ def shard_main(config: ShardConfig, conn, notify) -> None:
                     write_trace_jsonl(tracer, config.trace)
 
 
-__all__ = ["CTX_ENV", "ShardConfig", "build_service", "shard_main"]
+__all__ = ["ShardConfig", "build_service", "shard_main"]

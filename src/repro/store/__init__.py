@@ -2,21 +2,18 @@
 
 The store is the cross-run, cross-process sibling of the in-memory
 caches that already exist (the path-catalog LRU, compiled-model
-caches, :class:`~repro.opt.incremental.SolveContext`): warm state that
-used to die with the process now lives in a shared directory, so a
+caches, :class:`~repro.opt.incremental.SolveContext`): results that
+used to die with the process now live in a shared directory, so a
 weight sweep, a batch campaign, a second tenant of the service or a
-CI re-run can answer structurally identical work from disk.
+CI re-run can answer work it has already solved from disk.
 
-Two tiers:
-
-* **Tier A — exact result reuse.** Key = case fingerprint ⊕ config
-  fingerprint ⊕ code-version salt. A hit returns the stored
-  proven-optimal :class:`~repro.core.solution.SynthesisResult`,
-  re-verified by the independent feasibility checker before it is
-  trusted, without touching a solver.
-* **Tier B — warm artifacts.** Structure-only keys store enumerated
-  path catalogs and optimal incumbents, so near-miss instances (same
-  structure, new weights or budget) start warm instead of cold.
+**Tier A — exact result reuse.** Key = case fingerprint ⊕ config
+fingerprint ⊕ fault mask ⊕ code-version salt. A hit returns the
+stored proven-optimal :class:`~repro.core.solution.SynthesisResult`,
+re-verified by the independent feasibility checker before it is
+trusted, without touching a solver. (The warm artifacts of a former
+Tier B — path catalogs and incumbents — are no longer written or
+read; entries left by older versions age out through ``gc``.)
 
 Activation is explicit: pass a :class:`Store` via
 ``SynthesisOptions.store`` / ``run_batch(store=...)`` /
@@ -37,19 +34,14 @@ from contextlib import contextmanager
 from typing import Iterator, Optional
 
 from repro.store.codec import (
-    decode_catalog,
-    decode_incumbent,
     decode_result,
     encodable,
-    encode_catalog,
-    encode_incumbent,
     encode_result,
     load_result,
     store_result,
 )
 from repro.store.keys import (
     CACHE_EPOCH,
-    artifact_key,
     code_salt,
     digest,
     fault_salt,
@@ -110,7 +102,6 @@ __all__ = [
     "digest",
     "fault_salt",
     "result_key",
-    "artifact_key",
     "active_store",
     "set_active_store",
     "use_store",
@@ -119,8 +110,4 @@ __all__ = [
     "decode_result",
     "load_result",
     "store_result",
-    "encode_catalog",
-    "decode_catalog",
-    "encode_incumbent",
-    "decode_incumbent",
 ]

@@ -1,4 +1,4 @@
-"""Encoding/decoding of cached payloads (Tier A results, Tier B seeds).
+"""Encoding/decoding of cached payloads (Tier A results).
 
 The store holds plain JSON; this module is the boundary between that
 JSON and the in-memory types. Two properties matter:
@@ -169,35 +169,7 @@ def store_result(store: Store, key: str, result: SynthesisResult) -> bool:
     return store.put(key, "result", encode_result(result))
 
 
-# -- Tier B payloads ---------------------------------------------------
-def encode_catalog(paths) -> Dict[str, Any]:
-    """Vertex sequences of an enumerated catalog, order-preserving."""
-    return {"routes": [list(p.vertices) for p in paths]}
-
-
-def decode_catalog(switch, payload: Dict[str, Any]):
-    """Rebuild :class:`~repro.switches.paths.Path` objects on ``switch``."""
-    from repro.switches.paths import path_from_vertices
-
-    return tuple(
-        path_from_vertices(switch, index, [str(v) for v in route])
-        for index, route in enumerate(payload["routes"])
-    )
-
-
-def encode_incumbent(values_by_name: Dict[str, float],
-                     objective: Optional[float] = None) -> Dict[str, Any]:
-    return {"values": {str(k): float(v)
-                       for k, v in values_by_name.items()},
-            "objective": objective}
-
-
-def decode_incumbent(payload: Dict[str, Any]) -> Dict[str, float]:
-    return {str(k): float(v) for k, v in payload["values"].items()}
-
-
 __all__ = [
     "RESULT_FORMAT", "encodable", "encode_result", "decode_result",
-    "load_result", "store_result", "encode_catalog", "decode_catalog",
-    "encode_incumbent", "decode_incumbent",
+    "load_result", "store_result",
 ]

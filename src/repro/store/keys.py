@@ -4,8 +4,8 @@ Every entry in the content-addressed store is identified by a sha256
 hex digest computed here. Two rules keep the store trustworthy:
 
 * **Content addressing** — a key is a pure function of the work it
-  names: the case fingerprint, the config fingerprint, and (for warm
-  artifacts) the structural identity of the model. Equal keys mean
+  names: the case fingerprint, the config fingerprint and the fault
+  mask. Equal keys mean
   equal inputs, so a hit can be *re-verified* cheaply instead of
   trusted blindly.
 * **Salting** — every key folds in :func:`code_salt`, a version salt
@@ -41,8 +41,6 @@ CACHE_EPOCH = 2
 #: obs event names — producers may add more).
 KNOWN_KINDS = (
     "result",       # Tier A: a complete verified SynthesisResult
-    "catalog",      # Tier B: an enumerated path catalog
-    "incumbent",    # Tier B: an optimal assignment (name -> value)
 )
 
 
@@ -57,30 +55,13 @@ def code_salt() -> str:
 
 
 def digest(*parts: Any) -> str:
-    """sha256 hex over the canonical JSON of ``parts`` (salt included).
+    """sha256 hex over the JSON of ``parts``, salt included.
 
-    Tuples/sets inside ``parts`` are canonicalized via ``default=str``
-    fallbacks only after an explicit conversion — callers pass
-    JSON-able shapes or hashables with stable ``repr``.
+    Parts are JSON values; tuples serialize as lists, and floats by
+    their shortest round-trip repr, so equal parts give equal keys.
     """
-    canonical = json.dumps([code_salt(), *[_canonical(p) for p in parts]],
-                           sort_keys=True)
+    canonical = json.dumps([code_salt(), *parts], sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _canonical(part: Any) -> Any:
-    """A JSON-stable form of one key component."""
-    if isinstance(part, (str, int, bool)) or part is None:
-        return part
-    if isinstance(part, float):
-        return repr(part)  # repr is shortest-round-trip, stable in py3
-    if isinstance(part, (list, tuple)):
-        return [_canonical(p) for p in part]
-    if isinstance(part, (set, frozenset)):
-        return sorted(_canonical(p) for p in part)
-    if isinstance(part, dict):
-        return {str(k): _canonical(v) for k, v in sorted(part.items())}
-    return repr(part)
 
 
 def result_key(spec: Any, options: Any) -> str:
@@ -105,10 +86,5 @@ def fault_salt(spec: Any) -> str:
     return mask.digest()
 
 
-def artifact_key(kind: str, *parts: Any) -> str:
-    """Tier B key for a structure-addressed warm artifact."""
-    return digest(kind, *parts)
-
-
 __all__ = ["CACHE_EPOCH", "KNOWN_KINDS", "code_salt", "digest",
-           "fault_salt", "result_key", "artifact_key"]
+           "fault_salt", "result_key"]

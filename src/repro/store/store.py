@@ -32,8 +32,8 @@ dict and mirrored to the installed :mod:`repro.obs` tracer
 (``store_*`` metrics, ``cache_hit``/``cache_miss`` events).
 
 Stores pickle by configuration (root path + settings), so a store
-handed to :func:`repro.experiments.batch.run_batch` crosses process
-boundaries and every spawn worker shares the same on-disk cache.
+handed to a :class:`repro.service.ShardCoordinator` crosses process
+boundaries and every shard shares the same on-disk cache.
 """
 
 from __future__ import annotations

@@ -107,8 +107,8 @@ def path_from_vertices(switch: SwitchModel, index: int,
 
     Segment keys and lengths come from ``switch`` itself, so a vertex
     pair that is not an actual channel of the switch raises — which is
-    exactly the validation the persistent catalog cache
-    (:mod:`repro.store`) relies on when decoding stored routes.
+    exactly the validation the persistent store (:mod:`repro.store`)
+    relies on when decoding stored routes.
     """
     nodes = frozenset(v for v in vertices if not switch.is_pin(v))
     steps = [segment_key(a, b) for a, b in zip(vertices, vertices[1:])]
@@ -172,16 +172,12 @@ def path_cache_info() -> Dict[str, int]:
 
     Counts are per catalog: ``hits`` counts catalogs assembled wholly
     from memoized pin pairs, ``misses`` catalogs that enumerated at
-    least one pair, and ``store_hits`` catalogs answered by the
-    persistent :mod:`repro.store` catalog cache instead (those are
-    *not* double-counted as misses). ``size`` is the number of
-    memoized pin pairs.
+    least one pair. ``size`` is the number of memoized pin pairs.
     """
     metrics = _path_metrics()
     with _PATH_CACHE_LOCK:
         return {"hits": metrics.counter("path_cache_hits").value,
                 "misses": metrics.counter("path_cache_misses").value,
-                "store_hits": metrics.counter("path_cache_store_hits").value,
                 "size": sum(map(len, _PATH_CACHE.values())),
                 "max_size": _PATH_CACHE_MAX}
 
@@ -191,8 +187,7 @@ def clear_path_cache() -> None:
     metrics = _path_metrics()
     with _PATH_CACHE_LOCK:
         _PATH_CACHE.clear()
-        for name in ("path_cache_hits", "path_cache_misses",
-                     "path_cache_store_hits"):
+        for name in ("path_cache_hits", "path_cache_misses"):
             metrics.counter(name).value = 0
 
 
@@ -212,11 +207,7 @@ def enumerate_paths(
 
     Results are memoized per pin pair of a switch structure; the
     returned catalog is always a fresh :class:`PathCatalog` bound to
-    ``switch``, numbered in pin-pair order. Only when some pair is not
-    memoized does a persistent :mod:`repro.store` come in: the stored
-    catalog for the same structure and pin subset answers (Tier B), or
-    the missing pairs are enumerated and the catalog is written through
-    for future processes.
+    ``switch``, numbered in pin-pair order.
     """
     if slack < 0:
         raise SwitchModelError("path slack cannot be negative")
@@ -239,18 +230,6 @@ def enumerate_paths(
 
     routes: Dict[Tuple[str, str], List[List[str]]] = {}
     if missing:
-        # Tier B keeps its per-pin-subset key: (structure, pins, slack, cap).
-        catalog_key = (structure, tuple(pins) if pins is not None else None,
-                       slack, max_paths_per_pair)
-        stored = _load_stored_catalog(switch, catalog_key)
-        if stored is not None:
-            grouped: Dict[Tuple[str, str], List[Path]] = {p: [] for p in missing}
-            for p in stored:
-                grouped.setdefault((p.source_pin, p.target_pin), []).append(p)
-            with _PATH_CACHE_LOCK:
-                _count("path_cache_store_hits")
-                _remember(memo_key, {p: tuple(grouped[p]) for p in missing})
-            return PathCatalog(switch, list(stored))
         with _PATH_CACHE_LOCK:
             _count("path_cache_misses")
         source, dist = None, {}
@@ -271,8 +250,6 @@ def enumerate_paths(
     if keep:
         with _PATH_CACHE_LOCK:
             _remember(memo_key, keep)
-    if missing:
-        _store_catalog(catalog_key, paths)
     return PathCatalog(switch, paths)
 
 
@@ -338,44 +315,6 @@ def _pair_routes(switch: SwitchModel, src: str, dst: str,
     if cap is not None:
         found = found[:cap]
     return found
-
-
-def _load_stored_catalog(switch: SwitchModel,
-                         cache_key: tuple) -> Optional[Tuple[Path, ...]]:
-    """Tier B read of a persistent catalog (None on miss/no store).
-
-    Routes are rebuilt against *this* switch — vertices that do not
-    form real channels raise inside :func:`path_from_vertices`, which
-    quarantines the entry as corrupt instead of ever serving it.
-    """
-    from repro.store import active_store, artifact_key, decode_catalog
-
-    store = active_store()
-    if store is None:
-        return None
-    key = artifact_key("catalog", cache_key)
-    payload = store.get(key, "catalog")
-    if payload is None:
-        return None
-    try:
-        return decode_catalog(switch, payload)
-    except Exception:
-        store.delete(key)
-        return None
-
-
-def _store_catalog(cache_key: tuple, paths: Sequence[Path]) -> None:
-    """Tier B write-through of a fresh enumeration (never fails it)."""
-    from repro.store import active_store, artifact_key, encode_catalog
-
-    store = active_store()
-    if store is None:
-        return
-    try:
-        store.put(artifact_key("catalog", cache_key), "catalog",
-                  encode_catalog(paths))
-    except Exception:
-        pass
 
 
 def _bounded_simple_paths(switch: SwitchModel, src: str, dst: str,

@@ -3,8 +3,9 @@
 Docs drift silently; these tests fail loudly instead. Every module path
 mentioned in DESIGN.md/README.md must import, every benchmark file the
 experiment index points at must exist, the repository layout the
-README promises must be on disk, and every backend name a doc passes
-must exist.
+README promises must be on disk, every backend name a doc passes
+must exist, and every keyword a doc passes to ``run_batch`` must be one
+of its parameters.
 """
 
 import importlib
@@ -88,11 +89,8 @@ def test_docs_name_only_real_backends():
 
     faulty = inspect.signature(
         install_faulty_backend).parameters["backend_name"].default
-    docs = [ROOT / name for name in ("README.md", "DESIGN.md",
-                                     "EXPERIMENTS.md")]
-    docs += sorted((ROOT / "docs").glob("*.md"))
     found = []
-    for path in docs:
+    for path in _doc_paths():
         text = path.read_text(encoding="utf-8")
         names = re.findall(r"backend=[\"']([^\"']*)[\"']", text)
         for group in re.findall(r"backends=\[([^\]]*)\]", text):
@@ -110,6 +108,40 @@ def test_docs_name_only_real_backends():
 
     unknown = [(doc, name) for doc, name in found if not known(name)]
     assert not unknown, f"docs name unknown backends: {unknown}"
+
+
+def _doc_paths():
+    docs = [ROOT / name for name in ("README.md", "DESIGN.md",
+                                     "EXPERIMENTS.md")]
+    return docs + sorted((ROOT / "docs").glob("*.md"))
+
+
+def _top_level_keywords(text: str, call: str):
+    """The keyword names passed at the top level of each ``call(...)``."""
+    for match in re.finditer(re.escape(call) + r"\(", text):
+        depth, top = 1, []
+        for char in text[match.end():]:
+            depth += char in "([{"
+            depth -= char in ")]}"
+            if depth == 0:
+                break
+            if depth == 1:
+                top.append(char)
+        yield from re.findall(r"(\w+)\s*=(?!=)", "".join(top))
+
+
+def test_docs_pass_run_batch_only_real_parameters():
+    """Every keyword the docs pass to ``run_batch(`` is a parameter of
+    it, so a removed option cannot linger in an example."""
+    from repro.experiments import run_batch
+
+    params = set(inspect.signature(run_batch).parameters)
+    found = [(path.name, name) for path in _doc_paths()
+             for name in _top_level_keywords(
+                 path.read_text(encoding="utf-8"), "run_batch")]
+    assert found
+    unknown = [(doc, name) for doc, name in found if name not in params]
+    assert not unknown, f"docs pass unknown run_batch keywords: {unknown}"
 
 
 def test_observability_doc_lists_the_published_counts():

@@ -21,15 +21,12 @@ def test_phase_timings_add_and_total():
     assert t.total == pytest.approx(1.75)
 
 
-def test_phase_timings_merge_with_prefix():
+def test_phase_timings_merge():
     outer = PhaseTimings({"solve": 1.0})
     inner = {"presolve": 0.2, "solve": 0.7}
     outer.merge(inner)
     assert outer["solve"] == pytest.approx(1.7)
     assert outer["presolve"] == pytest.approx(0.2)
-    prefixed = PhaseTimings()
-    prefixed.merge(inner, prefix="sub_")
-    assert set(prefixed) == {"sub_presolve", "sub_solve"}
 
 
 def test_phase_timings_ordered_canonical_first():

@@ -16,7 +16,13 @@ import pytest
 
 from repro.cases import generate_case
 from repro.core import BindingPolicy, SynthesisOptions
-from repro.errors import AdmissionError, JournalError, ReproError, ServiceError
+from repro.errors import (
+    AdmissionError,
+    JournalError,
+    ReproError,
+    ServiceError,
+    SpecError,
+)
 from repro.obs import Tracer, use_tracer
 from repro.obs.export import validate_trace_records
 from repro.service import (
@@ -768,6 +774,41 @@ def test_run_batch_delegates_to_service(tmp_path):
     assert [r["case"] for r in batch.rows] == [s.name for s in specs]
     assert len(batch2.rows) == 3
     assert validate_journal(tmp_path / "j.jsonl") == {"done": 3}
+
+
+def malformed_spec(seed=0):
+    """A spec whose fixed binding was edited after construction (and so
+    after validation) to name a pin the switch does not have."""
+    spec = small_spec(seed)
+    spec.fixed_binding[next(iter(spec.fixed_binding))] = "no_such_pin"
+    return spec
+
+
+def test_submit_refuses_a_malformed_spec_and_the_breaker_stays_closed(
+        tmp_path):
+    with SynthesisService(tmp_path / "j.jsonl", workers=1,
+                          options=OPTS) as service:
+        with pytest.raises(SpecError):
+            service.submit(malformed_spec())
+        assert service.jobs == {}  # nothing journaled
+        record = service.wait(service.submit(small_spec(1)), timeout=60)
+        assert record.state == "done"
+        assert service.breakers.snapshot()["auto"]["state"] == CLOSED
+    assert validate_journal(tmp_path / "j.jsonl") == {"done": 1}
+
+
+def test_run_batch_turns_a_refused_spec_into_its_error_row(tmp_path):
+    from repro.experiments import run_batch
+
+    specs = [small_spec(0), malformed_spec(1), small_spec(2)]
+    with SynthesisService(tmp_path / "j.jsonl", workers=2,
+                          options=OPTS) as service:
+        batch = run_batch(specs, OPTS, service=service)
+    assert [r["status"] for r in batch.rows] == ["optimal", "error",
+                                                 "optimal"]
+    assert batch.rows[1]["case"] == specs[1].name
+    assert "SpecError" in batch.rows[1]["error"]
+    assert validate_journal(tmp_path / "j.jsonl") == {"done": 2}
 
 
 def _spec_dict(spec):

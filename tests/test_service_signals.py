@@ -3,8 +3,9 @@
 The contract: SIGTERM/SIGINT mid-run produces a *graceful* shutdown —
 the in-flight job finishes, the queue stays journaled as pending, the
 exit status says so — and a restart on the same journal completes the
-remainder with every job terminal exactly once. KeyboardInterrupt
-inside ``run_batch`` leaves a resumable checkpoint the same way.
+remainder with every job terminal exactly once. A ``run_batch``
+interrupted by KeyboardInterrupt, or killed outright, leaves its
+journal resumable the same way.
 """
 
 import os
@@ -19,7 +20,7 @@ from repro.cases import generate_case
 from repro.core import BindingPolicy, SynthesisOptions
 from repro.experiments import load_csv, run_batch
 from repro.obs import Tracer, use_tracer
-from repro.service import replay_journal, validate_journal
+from repro.service import job_id_for, replay_journal, validate_journal
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir,
                                    "src"))
@@ -108,9 +109,10 @@ def small_spec(seed):
 
 
 def test_run_batch_interrupt_leaves_resumable_checkpoint(tmp_path):
+    # The journal is the batch's checkpoint.
     specs = [small_spec(s) for s in range(4)]
     opts = SynthesisOptions(time_limit=30)
-    ckpt = tmp_path / "checkpoint.csv"
+    journal = tmp_path / "batch.jsonl"
 
     def interrupt_after_two(done, total, row):
         if done == 2:
@@ -119,36 +121,111 @@ def test_run_batch_interrupt_leaves_resumable_checkpoint(tmp_path):
     tracer = Tracer("interrupt")
     with use_tracer(tracer):
         with pytest.raises(KeyboardInterrupt):
-            run_batch(specs, opts, checkpoint=ckpt,
+            run_batch(specs, opts, journal=journal,
                       on_progress=interrupt_after_two)
     events = [r["name"] for r in tracer.records() if r["type"] == "event"]
     assert "interrupt" in events
 
-    rows = load_csv(ckpt)  # closed cleanly: parseable, both rows intact
-    assert len(rows) == 2
-    assert [r["case"] for r in rows] == [s.name for s in specs[:2]]
+    validate_journal(journal)  # closed cleanly: replayable, exactly-once
+    jobs = replay_journal(journal).jobs
+    assert all(jobs[job_id_for(s, opts)].terminal for s in specs[:2])
+    assert sum(job.terminal for job in jobs.values()) == 2
 
     computed = []
-    batch = run_batch(specs, opts, checkpoint=ckpt, resume=True,
-                      on_progress=lambda d, t, row: computed.append(row))
-    assert len(batch.rows) == 4
-    assert len(computed) == 2  # only the remainder was executed
-    assert {r["case"] for r in computed} == {s.name for s in specs[2:]}
-    assert len(load_csv(ckpt)) == 4
+    batch = run_batch(specs, opts, journal=journal,
+                      on_result=lambda spec, res: computed.append(spec.name))
+    assert [r["case"] for r in batch.rows] == [s.name for s in specs]
+    assert computed == [s.name for s in specs[2:]]  # only the remainder
+    assert validate_journal(journal) == {"done": 4}
 
 
 def test_run_batch_resume_tolerates_torn_checkpoint_row(tmp_path):
     specs = [small_spec(s) for s in range(3)]
     opts = SynthesisOptions(time_limit=30)
-    ckpt = tmp_path / "checkpoint.csv"
-    run_batch(specs[:2], opts, checkpoint=ckpt)
-    raw = ckpt.read_text()
-    ckpt.write_text(raw[: raw.rstrip("\n").rfind("\n") + 1]
-                    + "torn,partial")  # crash mid-append on the last row
-    batch = run_batch(specs, opts, checkpoint=ckpt, resume=True)
-    assert len(batch.rows) == 3  # the torn row's spec simply re-ran
-    assert sorted(r["case"] for r in batch.rows) == \
-        sorted(s.name for s in specs)
+    journal = tmp_path / "batch.jsonl"
+    run_batch(specs[:2], opts, journal=journal)
+    raw = journal.read_text()
+    last = raw.rstrip("\n").rfind("\n") + 1
+    journal.write_text(raw[:last] + raw[last:last + 20])  # torn final row
+    computed = []
+    batch = run_batch(specs, opts, journal=journal,
+                      on_result=lambda spec, res: computed.append(spec.name))
+    # The torn row's spec simply re-ran.
+    assert computed == [s.name for s in specs[1:]]
+    assert [r["case"] for r in batch.rows] == [s.name for s in specs]
+    assert validate_journal(journal) == {"done": 3}
+
+
+#: A batch driven like ``SERVE_SCRIPT``: two worker threads over a
+#: journal, one line per row, the CSV written at the end.
+BATCH_SCRIPT = """\
+import sys, time
+sys.path.insert(0, {src!r})
+from repro.cases import generate_case
+from repro.core import BindingPolicy, SynthesisOptions
+from repro.experiments import run_batch
+from repro.opt.solvers import get_backend, register_backend
+from repro.opt.solvers.base import SolverBackend
+
+
+class SlowBackend(SolverBackend):
+    name = "slow"
+
+    def solve(self, model, **kwargs):
+        time.sleep(0.2)
+        return get_backend("auto").solve(model, **kwargs)
+
+
+register_backend("slow", SlowBackend)
+specs = [generate_case(seed=s, switch_size=8, n_flows=2, n_inlets=2,
+                       n_conflicts=0, binding=BindingPolicy.FIXED)
+         for s in range(6)]
+opts = SynthesisOptions(time_limit=30, backend="slow")
+batch = run_batch(
+    specs, opts, workers=2, journal=sys.argv[1],
+    on_result=lambda spec, result: print("RAN", spec.name, flush=True),
+    on_progress=lambda done, total, row: print("ROW", done, flush=True))
+batch.to_csv(sys.argv[2])
+"""
+
+
+def run_batch_script(tmp_path, journal, csv_path, kill=False):
+    script = tmp_path / "batch_script.py"
+    script.write_text(BATCH_SCRIPT.format(src=SRC))
+    proc = subprocess.Popen(
+        [sys.executable, str(script), str(journal), str(csv_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    if kill:
+        for line in proc.stdout:
+            if line.startswith("ROW"):
+                break
+        proc.kill()
+    out, err = proc.communicate(timeout=120)
+    assert kill or proc.returncode == 0, err
+    return [line.split()[1] for line in out.splitlines()
+            if line.startswith("RAN")]
+
+
+def test_run_batch_killed_mid_run_resumes_to_the_same_csv(tmp_path):
+    journal = tmp_path / "batch.jsonl"
+    run_batch_script(tmp_path, journal, tmp_path / "killed.csv", kill=True)
+    jobs = replay_journal(journal).jobs
+    finished = {job.spec["name"] for job in jobs.values() if job.terminal}
+    assert 1 <= len(finished) < 6, f"not killed mid-run: {finished}"
+
+    ran = run_batch_script(tmp_path, journal, tmp_path / "resumed.csv")
+    run_batch_script(tmp_path, tmp_path / "fresh.jsonl",
+                     tmp_path / "fresh.csv")
+    assert finished.isdisjoint(ran)
+    assert len(finished) + len(ran) == 6
+    assert validate_journal(journal) == {"done": 6}
+
+    def without_runtime(path):
+        return [{k: v for k, v in row.items() if k != "runtime_s"}
+                for row in load_csv(path)]
+
+    assert without_runtime(tmp_path / "resumed.csv") \
+        == without_runtime(tmp_path / "fresh.csv")
 
 
 # ----------------------------------------------------------------------

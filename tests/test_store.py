@@ -2,8 +2,8 @@
 
 Covers the store mechanics (envelope validation, quarantine, racing
 writers, LRU gc), the codec's zero-trust decoding, the ambient-store
-plumbing, and the end-to-end Tier A / Tier B behaviour through
-``synthesize``, ``run_batch`` and the service.
+plumbing, and the end-to-end Tier A behaviour through ``synthesize``,
+``run_batch`` and the service.
 """
 
 import json
@@ -20,7 +20,6 @@ from repro.store import (
     Store,
     StoreError,
     active_store,
-    artifact_key,
     code_salt,
     digest,
     load_result,
@@ -115,10 +114,9 @@ def test_cached_healthy_result_never_serves_a_degraded_chip(tmp_path):
     assert warm.objective == degraded.objective
 
 
-def test_artifact_key_canonicalizes_tuples_and_floats():
-    assert artifact_key("catalog", ("a", 1, 0.5)) == \
-        artifact_key("catalog", ["a", 1, 0.5])
-    assert artifact_key("catalog", 0.5) != artifact_key("catalog", 0.25)
+def test_digest_canonicalizes_tuples_and_floats():
+    assert digest("catalog", ("a", 1, 0.5)) == digest("catalog", ["a", 1, 0.5])
+    assert digest("catalog", 0.5) != digest("catalog", 0.25)
 
 
 # ----------------------------------------------------------------------
@@ -400,7 +398,7 @@ def test_entries_of_a_retired_kind_stay_valid_and_age_out(tmp_path):
     import os
 
     store = Store(tmp_path)
-    old = artifact_key("pseudocosts", "form-digest", 0)
+    old = digest("pseudocosts", "form-digest", 0)
     store.put(old, "pseudocosts", {"dsum": [0.5], "dcnt": [1],
                                    "usum": [1.5], "ucnt": [1]})
     os.utime(store._object_path(old), (1000, 1000))  # least recently used
@@ -546,49 +544,33 @@ def test_ambient_store_reaches_synthesize(tmp_path):
     assert warm.counters.get("store_hit") == 1
 
 
-# ----------------------------------------------------------------------
-# Tier B: path catalogs
-# ----------------------------------------------------------------------
-def test_path_catalog_persists_across_processes_simulated(tmp_path):
-    """A cleared in-memory LRU falls back to the stored catalog."""
-    from repro.switches import clear_path_cache, enumerate_paths, \
-        path_cache_info
+def test_explicit_store_is_never_installed_as_the_ambient_one(tmp_path):
+    """A run's own store stays its own: nothing deeper in the pipeline
+    reads the ambient store, so no worker thread can leave another
+    run's store installed behind it."""
+    from repro.opt.solvers import get_backend, register_backend, \
+        unregister_backend
+    from repro.opt.solvers.base import SolverBackend
 
-    spec = small_spec()
-    store = Store(tmp_path)
-    clear_path_cache()
-    with use_store(store):
-        fresh = enumerate_paths(spec.switch)
-        assert path_cache_info()["misses"] == 1
-        clear_path_cache()  # simulate a new process: memory gone, disk not
-        stored = enumerate_paths(spec.switch)
-        info = path_cache_info()
-    clear_path_cache()
-    assert info["store_hits"] == 1
-    assert info["misses"] == 0
-    assert [p.vertices for p in stored] == [p.vertices for p in fresh]
-    assert [p.length for p in stored] == [p.length for p in fresh]
+    seen = []
 
+    class ProbeBackend(SolverBackend):
+        name = "ambient_probe"
 
-def test_corrupt_stored_catalog_is_quarantined(tmp_path):
-    from repro.switches import clear_path_cache, enumerate_paths
+        def solve(self, model, **kwargs):
+            seen.append(active_store())
+            return get_backend("highs").solve(model, **kwargs)
 
-    spec = small_spec()
-    store = Store(tmp_path)
-    clear_path_cache()
-    with use_store(store):
-        enumerate_paths(spec.switch)
-        [(path, _, _)] = [e for e in store._entries()]
-        entry = json.loads(path.read_text())
-        entry["payload"]["routes"] = [["ghost", "vertices"]]
-        from repro.store.store import _payload_sha
-
-        entry["payload_sha"] = _payload_sha(entry["payload"])
-        path.write_text(json.dumps(entry))  # valid envelope, bogus routes
-        clear_path_cache()
-        catalog = enumerate_paths(spec.switch)  # decode fails -> re-enumerate
-    clear_path_cache()
-    assert len(catalog) > 0
+    register_backend("ambient_probe", ProbeBackend)
+    try:
+        assert active_store() is None
+        result = synthesize(small_spec(), SynthesisOptions(
+            backend="ambient_probe", store=Store(tmp_path), time_limit=60))
+    finally:
+        unregister_backend("ambient_probe")
+    assert result.counters.get("store_put") == 1
+    assert seen and seen == [None] * len(seen)
+    assert active_store() is None
 
 
 # ----------------------------------------------------------------------
