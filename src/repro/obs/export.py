@@ -60,15 +60,22 @@ def _records_of(trace: Union[Tracer, List[Dict[str, Any]]]) -> List[Dict[str, An
 
 def write_trace_jsonl(trace: Union[Tracer, List[Dict[str, Any]]],
                       path: PathLike,
-                      manifest: Optional[Dict[str, Any]] = None) -> Path:
-    """Write the canonical JSONL artifact (header line + one record/line)."""
+                      manifest: Optional[Dict[str, Any]] = None,
+                      name: str = "", dropped: int = 0) -> Path:
+    """Write the canonical JSONL artifact (header line + one record/line).
+
+    The header's ``name`` and ``dropped`` (events lost to the buffer
+    cap) are a :class:`Tracer`'s own; a record list takes them from
+    the keywords.
+    """
     records = _records_of(trace)
-    header: Dict[str, Any] = {"type": "header", "schema": OBS_SCHEMA}
     if isinstance(trace, Tracer):
-        if trace.name:
-            header["name"] = trace.name
-        if trace.dropped:
-            header["dropped"] = trace.dropped
+        name, dropped = trace.name, trace.dropped
+    header: Dict[str, Any] = {"type": "header", "schema": OBS_SCHEMA}
+    if name:
+        header["name"] = name
+    if dropped:
+        header["dropped"] = dropped
     if manifest is not None:
         header["manifest"] = manifest
     path = Path(path)
