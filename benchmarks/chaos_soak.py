@@ -68,8 +68,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.cases import generate_case  # noqa: E402
 from repro.core import BindingPolicy, SynthesisOptions  # noqa: E402
-from repro.obs import (Tracer, read_trace_jsonl, use_tracer,  # noqa: E402
-                       validate_trace_records, write_trace_jsonl)
+from repro.obs import (Tracer, aggregate_metrics,  # noqa: E402
+                       read_trace_jsonl, use_tracer, validate_trace_records,
+                       write_trace_jsonl)
 from repro.service import (Backoff, SynthesisService,  # noqa: E402
                            validate_journal)
 from repro.testing import FaultPlan, install_faulty_backend  # noqa: E402
@@ -183,8 +184,10 @@ def orchestrate_shards(args: argparse.Namespace) -> int:
     def counter_totals(coord) -> dict:
         """Aggregated counter values across every telemetry stream."""
         coord.pull_telemetry()
+        streams = coord.tracer.streams().values()
         return {key: snap.get("value", 0)
-                for key, snap in coord.collector.aggregated_metrics().items()
+                for key, snap in aggregate_metrics(
+                    s["metrics"] for s in streams).items()
                 if snap.get("kind") == "counter"}
 
     last_counters: dict = {}
@@ -250,10 +253,11 @@ def orchestrate_shards(args: argparse.Namespace) -> int:
         if doubled:
             failures.append(
                 f"duplicate completion events across kills: {doubled}")
+        streams = coord.tracer.streams()
         telemetry = {
-            "streams": len(coord.collector.sources()),
-            "rejected_batches": coord.collector.rejected,
-            "dropped_records": coord.collector.dropped_total(),
+            "streams": len(streams),
+            "rejected_batches": coord.tracer.rejected,
+            "dropped_records": sum(s["dropped"] for s in streams.values()),
             "merged_records": len(merged),
             "completion_events": sum(completions.values()),
         }
@@ -333,8 +337,10 @@ def orchestrate_valve_faults(args: argparse.Namespace) -> int:
 
     def repair_counters(coord) -> dict:
         coord.pull_telemetry()
+        streams = coord.tracer.streams().values()
         return {key: snap.get("value", 0)
-                for key, snap in coord.collector.aggregated_metrics().items()
+                for key, snap in aggregate_metrics(
+                    s["metrics"] for s in streams).items()
                 if snap.get("kind") == "counter" and "repair_" in key}
 
     last: dict = {}

@@ -15,6 +15,7 @@ and short enough to eyeball-diff in a table.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import platform
@@ -65,8 +66,13 @@ def case_fingerprint(spec: Any) -> str:
     return _sha16(spec_to_dict(spec))
 
 
+@functools.lru_cache(maxsize=None)
 def git_describe(root: Optional[Path] = None) -> str:
-    """``git describe --always --dirty`` of the source tree, or "unknown"."""
+    """``git describe --always --dirty`` of the source tree, or "unknown".
+
+    Asked once per process and root: a process runs the code it
+    imported, so the first answer stays right.
+    """
     if root is None:
         root = Path(__file__).resolve().parents[3]
     try:

@@ -188,20 +188,22 @@ class MetricsRegistry:
 
     def records(self) -> List[Dict[str, Any]]:
         """The snapshot as ``metric`` records for the event stream."""
-        with self._lock:
-            instruments = list(self._instruments.items())
-        out: List[Dict[str, Any]] = []
-        for _, inst in sorted(instruments, key=lambda item: item[0]):
-            record = {"type": "metric", "name": inst.name, **inst.snapshot()}
-            if inst.instance is not None:
-                record["instance"] = inst.instance
-            out.append(record)
-        return out
+        return snapshot_records(self.snapshot())
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._instruments)
 
 
+def snapshot_records(snapshot: Dict[str, Dict[str, Any]],
+                     ) -> List[Dict[str, Any]]:
+    """A :meth:`MetricsRegistry.snapshot` as ``metric`` records, one
+    per instrument, in snapshot order."""
+    return [{"type": "metric",
+             "name": split_metric_key(key)[0] if "instance" in snap else key,
+             **snap}
+            for key, snap in snapshot.items()]
+
+
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "metric_key", "split_metric_key"]
+           "metric_key", "snapshot_records", "split_metric_key"]

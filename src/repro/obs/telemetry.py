@@ -9,20 +9,22 @@ moves them:
   :class:`~repro.obs.trace.Tracer` and cuts bounded, *framed* batches
   of everything recorded since the previous cut (records are shipped
   exactly once; metric snapshots are cumulative).
-* :class:`TelemetryCollector` — parent side. Validates each batch's
+* The parent side is the parent's own tracer:
+  :meth:`~repro.obs.trace.Tracer.absorb_batch` validates each batch's
   framing (a batch from a SIGKILLed child that was torn mid-build is
-  dropped whole — never half-absorbed), keys state by
-  ``(source, pid)`` so a respawned shard is a *new* stream rather than
-  a rollback of the old one, and merges everything into one
-  schema-valid ``repro-obs-v1`` record stream.
-* :func:`merge_streams` — the deterministic merge itself. Records are
-  ordered by ``(logical_clock, pid, seq)`` and re-identified (span
-  ids, thread ids and sequence numbers are reassigned in merge order),
-  so the output is a pure function of the input batches: the same
-  batches produce byte-identical output no matter how many processes
-  produced them or in what order they arrived.
+  refused whole — never half-absorbed) and keys what it takes in by
+  ``(source, pid)``, so a respawned shard is a *new* stream rather
+  than a rollback of the old one. :func:`aggregate_metrics` sums the
+  streams' latest snapshots.
+* :func:`merge_streams` — the deterministic merge behind
+  :meth:`~repro.obs.trace.Tracer.records`. Records are ordered by
+  ``(logical_clock, pid, seq)`` and re-identified (span ids, thread
+  ids and sequence numbers are reassigned in merge order), so the
+  output is a pure function of the input batches: the same batches
+  produce byte-identical output no matter how many processes produced
+  them or in what order they arrived.
 * :func:`render_prometheus` / :func:`validate_prometheus_text` — text
-  exposition of aggregated metric snapshots (no client library
+  exposition of per-stream metric snapshots (no client library
   required), plus the validator CI uses to gate the format.
 * :class:`FlightRecorder` — a bounded per-job ring of the spans and
   events carrying a job's correlation ID, retained after completion so
@@ -35,7 +37,7 @@ Wire format (``TELEMETRY_VERSION = 1``)::
      "records": [...],                   # repro-obs-v1 records
      "metrics": {"name": {...}, ...},    # cumulative registry snapshot
      "dropped": 0,                       # cumulative tracer drop count
-     "foreign": [...]}                   # optional: relayed child batches
+     "foreign": [...]}                   # optional: relayed batches
 
 Everything here is stdlib-only and JSON-compatible, so batches travel
 over the existing pickled-pipe RPC seams unchanged.
@@ -91,7 +93,8 @@ class TelemetryShipper:
         self.source = source or tracer.name or "proc"
         self.max_batch = max_batch
         self._sent = 0
-        self._sent_foreign = 0
+        #: Absorbed stream -> (its records relayed, its batches seen).
+        self._relayed: Dict[Tuple[str, int], Tuple[int, int]] = {}
         self._lock = threading.Lock()
 
     def collect(self) -> Dict[str, Any]:
@@ -101,16 +104,23 @@ class TelemetryShipper:
         high-water mark); the metric snapshot and drop count are
         cumulative, so the parent always holds the child's latest
         totals even if an intermediate batch is lost with the child.
+        Each stream the tracer absorbed from *its own* children (B&B
+        workers under a shard) that took a batch since the previous
+        cut rides along in ``foreign``, as one batch of its new records
+        and latest totals, so grandchild telemetry reaches the
+        top-level tracer as its own stream.
         """
         tracer = self.tracer
         with self._lock:
             with tracer._lock:
                 records = tracer._records[self._sent:self._sent + self.max_batch]
                 self._sent += len(records)
-                foreign = list(tracer._foreign[self._sent_foreign:])
-                self._sent_foreign += len(foreign)
+                foreign = [self._relay(key, stream)
+                           for key, stream in tracer._streams.items()
+                           if stream["batches"]
+                           != self._relayed.get(key, (0, 0))[1]]
                 dropped = tracer.dropped
-                clock = getattr(tracer, "clock", 0)
+                clock = tracer.clock
             batch = {
                 "v": TELEMETRY_VERSION,
                 "source": self.source,
@@ -121,15 +131,31 @@ class TelemetryShipper:
                 "dropped": dropped,
             }
             if foreign:
-                # Batches this tracer absorbed from *its own* children
-                # (B&B workers under a shard) ride along, so grandchild
-                # telemetry reaches the top-level collector intact.
                 batch["foreign"] = foreign
-            # Framing written last: a dict built by a process that dies
-            # mid-way never carries a matching count + end marker.
-            batch["n"] = len(batch["records"])
-            batch["complete"] = True
-            return batch
+            return _framed(batch)
+
+    def _relay(self, key: Tuple[str, int],
+               stream: Dict[str, Any]) -> Dict[str, Any]:
+        """One absorbed stream's news since the previous cut, as a batch."""
+        sent = self._relayed.get(key, (0, 0))[0]
+        self._relayed[key] = (len(stream["records"]), stream["batches"])
+        return _framed({
+            "v": TELEMETRY_VERSION,
+            "source": key[0],
+            "pid": key[1],
+            "clock": stream["clock"],
+            "records": stream["records"][sent:],
+            "metrics": stream["metrics"],
+            "dropped": stream["dropped"],
+        })
+
+
+def _framed(batch: Dict[str, Any]) -> Dict[str, Any]:
+    """Write the framing last: a dict built by a process that dies
+    mid-way never carries a matching count and end marker."""
+    batch["n"] = len(batch["records"])
+    batch["complete"] = True
+    return batch
 
 
 def validate_batch(batch: Any) -> bool:
@@ -262,109 +288,34 @@ def merge_streams(
 
 
 # ---------------------------------------------------------------------------
-# parent side: accumulate batches, aggregate metrics, merge on demand
+# parent side: sum the absorbed streams' metric snapshots
 # ---------------------------------------------------------------------------
-class TelemetryCollector:
-    """Accumulates child batches and answers merged views.
+def aggregate_metrics(
+        snapshots: Iterable[Dict[str, Dict[str, Any]]],
+) -> Dict[str, Dict[str, Any]]:
+    """Sum counters/histograms and last-write gauges across snapshots.
 
-    State is keyed by ``(source, pid)``: a respawned shard reports
-    under a fresh pid, so its counters restart from zero *as a new
-    stream* and aggregation (which sums across streams) stays
-    monotonic across the kill — nothing the dead incarnation already
-    shipped is ever un-counted.
+    ``snapshots`` are the streams' latest metric snapshots in arrival
+    order, as :meth:`~repro.obs.trace.Tracer.streams` holds them. Sums
+    run across *all* incarnations of a source, so aggregate counters
+    are monotonic across a kill+respawn; gauges take the newest
+    incarnation's value (the old process no longer has a queue depth).
     """
-
-    def __init__(self, flight_jobs: int = 64,
-                 flight_records: int = 512) -> None:
-        self._lock = threading.Lock()
-        self._records: "OrderedDict[Tuple[str, int], List[Dict[str, Any]]]" \
-            = OrderedDict()
-        self._metrics: Dict[Tuple[str, int], Dict[str, Any]] = {}
-        self._dropped: Dict[Tuple[str, int], int] = {}
-        self.rejected = 0
-        self.flight = FlightRecorder(max_jobs=flight_jobs,
-                                     max_records=flight_records)
-
-    def absorb(self, batch: Any) -> bool:
-        """Absorb one batch; False (and counted) when torn/invalid."""
-        if not validate_batch(batch):
-            with self._lock:
-                self.rejected += 1
-            return False
-        key = (batch["source"], batch["pid"])
-        with self._lock:
-            self._records.setdefault(key, []).extend(batch["records"])
-            self._metrics[key] = batch["metrics"]
-            self._dropped[key] = batch.get("dropped", 0)
-        # The flight ring mixes records from every process, so stamp
-        # each record's origin now — the per-job merge groups on it.
-        self.flight.observe(
-            dict(r, src=batch["source"], pid=batch["pid"])
-            for r in batch["records"])
-        # Relayed grandchild batches (a shard forwarding its own B&B
-        # workers' telemetry) are full batches themselves: recurse, so
-        # torn relays are rejected individually without tearing the
-        # relaying batch.
-        for sub in batch.get("foreign") or []:
-            self.absorb(sub)
-        return True
-
-    def sources(self) -> List[Tuple[str, int]]:
-        with self._lock:
-            return list(self._records)
-
-    def dropped_total(self) -> int:
-        """Tracer-side drops summed across every absorbed stream."""
-        with self._lock:
-            return sum(self._dropped.values())
-
-    def merged(self,
-               extra: Optional[Iterable[Tuple[str, int, List[Dict[str, Any]]]]]
-               = None) -> List[Dict[str, Any]]:
-        """One merged ``repro-obs-v1`` stream over every absorbed batch.
-
-        ``extra`` adds streams that never went through :meth:`absorb`
-        (typically the parent process's own tracer records).
-        """
-        with self._lock:
-            sources = [(name, pid, list(records))
-                       for (name, pid), records in self._records.items()]
-        if extra:
-            sources.extend((name, pid, list(records))
-                           for name, pid, records in extra)
-        return merge_streams(sources)
-
-    def metrics_by_source(self) -> Dict[str, Dict[str, Any]]:
-        """Latest metric snapshot per stream, keyed ``source@pid``."""
-        with self._lock:
-            return {f"{name}@{pid}": dict(snap)
-                    for (name, pid), snap in sorted(self._metrics.items())}
-
-    def aggregated_metrics(self) -> Dict[str, Dict[str, Any]]:
-        """Sum counters/histograms and last-write gauges across streams.
-
-        Sums run across *all* incarnations of a source, so aggregate
-        counters are monotonic across a kill+respawn; gauges take the
-        newest incarnation's value (the old process no longer has a
-        queue depth).
-        """
-        with self._lock:
-            snaps = sorted(self._metrics.items())
-        out: Dict[str, Dict[str, Any]] = {}
-        for (_, _), snapshot in snaps:
-            for name, snap in snapshot.items():
-                merged = out.get(name)
-                if merged is None:
-                    out[name] = json.loads(json.dumps(snap))
-                    continue
-                kind = snap.get("kind")
-                if kind == "counter":
-                    merged["value"] += snap.get("value", 0)
-                elif kind == "gauge":
-                    merged["value"] = snap.get("value", 0)
-                elif kind == "histogram":
-                    _merge_histogram(merged, snap)
-        return dict(sorted(out.items()))
+    out: Dict[str, Dict[str, Any]] = {}
+    for snapshot in snapshots:
+        for name, snap in snapshot.items():
+            merged = out.get(name)
+            if merged is None:
+                out[name] = json.loads(json.dumps(snap))
+                continue
+            kind = snap.get("kind")
+            if kind == "counter":
+                merged["value"] += snap.get("value", 0)
+            elif kind == "gauge":
+                merged["value"] = snap.get("value", 0)
+            elif kind == "histogram":
+                _merge_histogram(merged, snap)
+    return dict(sorted(out.items()))
 
 
 def _merge_histogram(into: Dict[str, Any], snap: Dict[str, Any]) -> None:
@@ -619,8 +570,8 @@ __all__ = [
     "MAX_BATCH_RECORDS",
     "OBS_SCHEMA",
     "TelemetryShipper",
-    "TelemetryCollector",
     "FlightRecorder",
+    "aggregate_metrics",
     "correlation_id",
     "correlation_job",
     "validate_batch",

@@ -79,10 +79,6 @@ DISPATCH_BATCH = 8
 #: Node budget per subtree task; leftovers return to the global frontier.
 TASK_NODE_BUDGET = 192
 
-#: Environment override for the multiprocessing start method
-#: ("fork"/"spawn"/"forkserver"); auto-selected when unset.
-CTX_ENV = "REPRO_PARALLEL_BB_CTX"
-
 Delta = Tuple[int, bool, float]
 Path = Tuple[int, ...]
 
@@ -361,11 +357,8 @@ def pick_context() -> mp.context.BaseContext:
     ``fork`` gives by far the cheapest start (the compiled model and
     scipy are already in memory) but is unsafe under live threads (a
     service worker thread, say), so it is only auto-picked in
-    single-threaded processes. ``REPRO_PARALLEL_BB_CTX`` overrides.
+    single-threaded processes; spawn serves everywhere else.
     """
-    name = os.environ.get(CTX_ENV)
-    if name:
-        return mp.get_context(name)
     methods = mp.get_all_start_methods()
     if "fork" in methods and threading.active_count() == 1:
         return mp.get_context("fork")
@@ -606,7 +599,7 @@ class WorkerPool:
 
 
 __all__ = [
-    "ROOT_EXPAND_NODES", "DISPATCH_BATCH", "TASK_NODE_BUDGET", "CTX_ENV",
+    "ROOT_EXPAND_NODES", "DISPATCH_BATCH", "TASK_NODE_BUDGET",
     "encode_step", "path_tie", "fold_hash", "most_fractional",
     "SubtreeExplorer", "WorkerPool", "pick_context",
 ]

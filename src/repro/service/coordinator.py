@@ -30,13 +30,18 @@ what ``GET /stats`` and ``GET /health`` serve.
 
 **Telemetry.** The monitor thread doubles as the telemetry pump: about
 once a second it pulls an incremental batch (``telemetry`` verb) from
-every live shard into a :class:`~repro.obs.telemetry.TelemetryCollector`,
-whose merged stream, aggregated metric snapshots and per-job flight
-recorder back ``GET /metrics``, ``GET /jobs/<id>/trace`` and the merged
-trace artifact written on :meth:`stop` (the first two also pull on
-demand). Logical clocks piggyback on every RPC in both directions
-(``_clock`` in payload and reply), so the deterministic merge orders
-causally-related records consistently.
+every live shard and hands it to
+:meth:`~repro.obs.trace.Tracer.absorb_batch` on :attr:`tracer` — the
+tracer installed when the coordinator starts, else its own — just as
+``parallel_bb`` does with its workers' batches. So that tracer's
+:meth:`~repro.obs.trace.Tracer.records` is the platform's one merged
+stream, and its per-stream metric snapshots back ``GET /metrics``. Each
+absorbed batch also feeds a per-job flight recorder behind
+``GET /jobs/<id>/trace``; both endpoints pull on demand first, and the
+merged stream is written as a trace artifact on :meth:`stop`. Logical
+clocks piggyback on every RPC in both directions (``_clock`` in payload
+and reply), so the deterministic merge orders causally-related records
+consistently.
 
 **Completion.** Each shard pushes the line of every job a worker
 finishes down a one-way notify pipe. A dedicated listener thread
@@ -67,8 +72,8 @@ from multiprocessing import connection
 from typing import Any, Dict, List, Optional
 
 from repro.errors import AdmissionError, ServiceError
-from repro.obs.telemetry import TelemetryCollector, _merge_histogram
-from repro.obs.trace import current_tracer, obs_event
+from repro.obs.telemetry import FlightRecorder, _merge_histogram
+from repro.obs.trace import Tracer, current_tracer, use_tracer
 from repro.service.journal import TERMINAL_STATES
 from repro.service.shard import ShardConfig, shard_main
 
@@ -126,7 +131,6 @@ class ShardCoordinator:
         store: Optional[Any] = None,
         tenant_quota: Optional[int] = None,
         trace_dir: Optional[str] = None,
-        telemetry: bool = True,
     ) -> None:
         if shards < 1:
             raise ServiceError(f"shards must be >= 1, got {shards}")
@@ -135,9 +139,11 @@ class ShardCoordinator:
         self.journal_dir = Path(journal_dir)
         self.journal_dir.mkdir(parents=True, exist_ok=True)
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
-        self.telemetry = telemetry
-        #: Parent-side accumulator for every shard's telemetry batches.
-        self.collector = TelemetryCollector()
+        #: Where every shard batch and coordinator event lands: the
+        #: tracer installed when :meth:`start` runs, else this one.
+        self.tracer = Tracer("coordinator")
+        #: Recent jobs' records, teed off every absorbed batch.
+        self.flight = FlightRecorder()
         if store is not None and not hasattr(store, "get"):
             from repro.store import Store
 
@@ -165,7 +171,6 @@ class ShardCoordinator:
                 store=store,
                 tenant_quota=tenant_quota,
                 trace=trace,
-                telemetry=telemetry,
             )))
         self._stopping = threading.Event()
         self._monitor: Optional[threading.Thread] = None
@@ -198,13 +203,14 @@ class ShardCoordinator:
     def start(self) -> None:
         if self._started:
             return
-        if self.telemetry and current_tracer() is None:
+        ambient = current_tracer()
+        if ambient is not None:
+            self.tracer = ambient
+        else:
             # No ambient tracer (e.g. embedded use without --trace):
-            # install our own so coordinator-side spans/events (submit,
-            # shard_up, restarts) still appear in the merged stream.
-            from repro.obs.trace import Tracer, use_tracer
-
-            self._tracer_ctx = use_tracer(Tracer("coordinator"))
+            # install our own, so shard batches and coordinator-side
+            # events (shard_up, restarts) still land in one record.
+            self._tracer_ctx = use_tracer(self.tracer)
             self._tracer_ctx.__enter__()
         for shard in self._shards:
             self._spawn(shard, reason="start")
@@ -253,8 +259,9 @@ class ShardCoordinator:
         shard.conn = parent_conn
         shard.notify = notify
         shard.pid = hello.get("pid")
-        obs_event("shard_up", shard=shard.config.index, pid=shard.pid,
-                  reason=reason, replayed=hello.get("replayed", 0))
+        self.tracer.event("shard_up", shard=shard.config.index,
+                          pid=shard.pid, reason=reason,
+                          replayed=hello.get("replayed", 0))
 
     def _watch(self) -> None:
         """Monitor thread: respawn dead shards, pump telemetry batches."""
@@ -272,8 +279,7 @@ class ShardCoordinator:
                                 self._recover(shard)
                         finally:
                             shard.lock.release()
-            if self.telemetry and \
-                    time.monotonic() - last_pull >= TELEMETRY_INTERVAL:
+            if time.monotonic() - last_pull >= TELEMETRY_INTERVAL:
                 last_pull = time.monotonic()
                 self.pull_telemetry()
             self._stopping.wait(0.2)
@@ -310,11 +316,9 @@ class ShardCoordinator:
         """Pull one incremental telemetry batch from every live shard.
 
         Returns the number of batches absorbed. Normally driven by the
-        monitor thread; callable directly (tests, ``stop``, chaos
-        harnesses) to flush without waiting an interval.
+        monitor thread; callable directly (tests, chaos harnesses) to
+        flush without waiting an interval.
         """
-        if not self.telemetry:
-            return 0
         absorbed = 0
         for shard in self._shards:
             if self._stopping.is_set() or not shard.alive:
@@ -324,9 +328,20 @@ class ShardCoordinator:
             except (ShardError, AdmissionError):
                 continue  # dead/respawning shard: its final batch is lost
             batch = reply.get("batch")
-            if batch is not None and self.collector.absorb(batch):
+            if batch is not None and self._absorb(batch):
                 absorbed += 1
         return absorbed
+
+    def _absorb(self, batch: Dict[str, Any]) -> bool:
+        """One shard batch into :attr:`tracer`, teed into the flight
+        recorder; False when it was torn."""
+        absorbed = self.tracer.absorb_batch(batch)
+        for part in absorbed:
+            # The flight ring mixes records from every process, so stamp
+            # each record's origin now; the per-job merge groups on it.
+            self.flight.observe(dict(r, src=part["source"], pid=part["pid"])
+                                for r in part["records"])
+        return bool(absorbed)
 
     def _recover(self, shard: _Shard) -> None:
         """Respawn a dead shard on its journal. Caller holds the lock."""
@@ -338,14 +353,14 @@ class ShardCoordinator:
                 shard.process.join(timeout=5.0)
         exitcode = shard.process.exitcode if shard.process else None
         shard.restarts += 1
-        obs_event("shard_crashed", shard=shard.config.index,
-                  pid=shard.pid, exitcode=exitcode)
+        self.tracer.event("shard_crashed", shard=shard.config.index,
+                          pid=shard.pid, exitcode=exitcode)
         if shard.conn is not None:
             with contextlib.suppress(Exception):
                 shard.conn.close()
         self._spawn(shard, reason="crash")
-        obs_event("shard_restarted", shard=shard.config.index,
-                  pid=shard.pid, restarts=shard.restarts)
+        self.tracer.event("shard_restarted", shard=shard.config.index,
+                          pid=shard.pid, restarts=shard.restarts)
         # The journal replay is done: every waiter re-reads once, since
         # the dead incarnation may have finished a job it never pushed.
         with self._wake:
@@ -382,7 +397,7 @@ class ShardCoordinator:
                                 if reply.get("batch") is not None:
                                     # The shard's final increment rides
                                     # on its last message.
-                                    self.collector.absorb(reply["batch"])
+                                    self._absorb(reply["batch"])
                     except (BrokenPipeError, EOFError, OSError):
                         pass
                 if shard.process is not None:
@@ -400,12 +415,12 @@ class ShardCoordinator:
         for shard in self._shards:
             if shard.notify is not None:
                 shard.notify.close()  # pipes the listener never saw
-        if self.trace_dir is not None and self.telemetry and was_started:
+        if self.trace_dir is not None and was_started:
             # One merged artifact next to the per-shard traces: the
             # whole platform's record stream as a single valid trace.
             # (Guarded on was_started so a second stop() — e.g. the
-            # context manager exiting after an explicit stop — cannot
-            # rewrite it after the coordinator tracer is gone.)
+            # context manager exiting after an explicit stop — does not
+            # rewrite it.)
             from repro.obs import write_trace_jsonl
 
             with contextlib.suppress(Exception):
@@ -446,7 +461,7 @@ class ShardCoordinator:
         an idempotent submission, so at-least-once delivery is sound.
         """
         shard = self._shards[index]
-        tracer = current_tracer() if self.telemetry else None
+        tracer = self.tracer
         reply: Optional[Dict[str, Any]] = None
         with shard.lock:
             for attempt in (0, 1):
@@ -456,8 +471,7 @@ class ShardCoordinator:
                             f"shard {index} unavailable (stopping)")
                     self._recover(shard)
                 try:
-                    if tracer is not None:
-                        payload["_clock"] = tracer.clock
+                    payload["_clock"] = tracer.clock
                     shard.conn.send((verb, payload))
                     while not shard.conn.poll(RPC_SLICE):
                         if not shard.alive:
@@ -478,7 +492,7 @@ class ShardCoordinator:
                         f"failover failed") from None
         if reply is None:  # pragma: no cover - loop always breaks/raises
             raise ShardError(f"shard {index} unreachable")
-        if tracer is not None and "_clock" in reply:
+        if "_clock" in reply:
             tracer.witness(reply.pop("_clock"))
         if reply.get("ok"):
             return reply
@@ -669,44 +683,35 @@ class ShardCoordinator:
         }
         if latency:
             out["latency"] = latency
-        if self.telemetry:
-            out["telemetry"] = {
-                "sources": len(self.collector.sources()),
-                "dropped": self.collector.dropped_total(),
-                "rejected": self.collector.rejected,
-            }
+        streams = self.tracer.streams()
+        out["telemetry"] = {
+            "sources": len(streams),
+            "dropped": sum(s["dropped"] for s in streams.values()),
+            "rejected": self.tracer.rejected,
+        }
         return out
 
     # -- telemetry surface ------------------------------------------------
     def telemetry_records(self) -> List[Dict[str, Any]]:
-        """One merged ``repro-obs-v1`` stream over every shard batch.
-
-        Includes the coordinator process's own tracer records (when one
-        is installed) as a peer stream, so a merged trace shows the
-        coordinator's routing/restart events alongside shard spans.
-        """
-        extra = None
-        tracer = current_tracer()
-        if tracer is not None:
-            extra = [(tracer.name or "coordinator", os.getpid(),
-                      tracer.records())]
-        return self.collector.merged(extra=extra)
+        """:attr:`tracer`'s records: one merged ``repro-obs-v1`` stream
+        of the coordinator's own records and every shard batch."""
+        return self.tracer.records()
 
     def metrics_snapshot(self) -> Dict[str, Dict[str, Any]]:
         """Latest per-stream metric snapshots, keyed ``source@pid``.
 
-        The coordinator's own registry (when a tracer is installed)
-        appears as one more stream, so ``/metrics`` exposes parent-side
-        counters next to shard-side ones. Pulls a fresh batch first so
-        a scrape always reflects the shards' current totals rather
-        than the last monitor-interval snapshot.
+        :attr:`tracer`'s own registry appears as one more stream, so
+        ``/metrics`` exposes parent-side counters next to shard-side
+        ones. Pulls a fresh batch first so a scrape always reflects the
+        shards' current totals rather than the last monitor-interval
+        snapshot.
         """
         self.pull_telemetry()
-        sources = self.collector.metrics_by_source()
-        tracer = current_tracer()
-        if tracer is not None:
-            name = tracer.name or "coordinator"
-            sources[f"{name}@{os.getpid()}"] = tracer.metrics.snapshot()
+        tracer = self.tracer
+        sources = {f"{name}@{pid}": stream["metrics"]
+                   for (name, pid), stream in tracer.streams().items()}
+        name = tracer.name or "coordinator"
+        sources[f"{name}@{os.getpid()}"] = tracer.metrics.snapshot()
         return sources
 
     def job_trace(self, job_id: str) -> List[Dict[str, Any]]:
@@ -717,7 +722,7 @@ class ShardCoordinator:
         without waiting out the telemetry interval.
         """
         self.pull_telemetry()
-        records = self.collector.flight.trace(job_id)
+        records = self.flight.trace(job_id)
         if records is None:
             raise KeyError(job_id)
         return records

@@ -25,7 +25,7 @@ health     ``{}`` → ``{"ok": True, "health", "pid"}``
 telemetry  ``{}`` → ``{"ok": True, "batch": <telemetry batch>}``
            (incremental: records since the previous pull)
 stop       ``{"drain", "deadline"?}`` → ``{"ok": True, "summary",
-           "batch"?}`` (the reply is the shard's last message,
+           "batch"}`` (the reply is the shard's last message,
            carrying its final telemetry batch; it then exits)
 =========  =======================================================
 
@@ -106,11 +106,6 @@ class ShardConfig:
     tenant_quota: Optional[int] = None
     #: Where to write this shard's obs trace on stop (None = no trace).
     trace: Optional[str] = None
-    #: Ship spans/events/metrics to the coordinator over the pipe.
-    #: Default-on: the shard tracer is bounded, so an idle telemetry
-    #: plane costs a few KB, and turning it off would silently blind
-    #: ``/metrics`` and per-job flight recorders for this shard.
-    telemetry: bool = True
 
 
 def build_service(config: ShardConfig):
@@ -192,22 +187,15 @@ def shard_main(config: ShardConfig, conn, notify) -> None:
     with contextlib.suppress(Exception):
         mp.current_process()._config["daemon"] = False
 
-    tracer = None
-    shipper = None
-    if config.trace or config.telemetry:
-        from repro.obs import Tracer
+    from repro.obs.telemetry import TelemetryShipper
+    from repro.obs.trace import Tracer, use_tracer
 
-        tracer = Tracer(f"shard-{config.index}")
-        if config.telemetry:
-            from repro.obs.telemetry import TelemetryShipper
+    # The shard's spans, events and metrics ship to the coordinator
+    # over the pipe; the tracer is bounded, so an idle one costs a few KB.
+    tracer = Tracer(f"shard-{config.index}")
+    shipper = TelemetryShipper(tracer, source=f"shard-{config.index}")
 
-            shipper = TelemetryShipper(tracer, source=f"shard-{config.index}")
-
-    from repro.obs.trace import use_tracer
-
-    with contextlib.ExitStack() as stack:
-        if tracer is not None:
-            stack.enter_context(use_tracer(tracer))
+    with use_tracer(tracer):
         service = build_service(config)
         service.on_terminal = _pusher(notify)
         service.start()
@@ -225,13 +213,11 @@ def shard_main(config: ShardConfig, conn, notify) -> None:
                 except (EOFError, OSError):
                     break  # coordinator died; drain and exit
                 verb, payload = message
-                if tracer is not None and isinstance(payload, dict) \
-                        and "_clock" in payload:
+                if isinstance(payload, dict) and "_clock" in payload:
                     tracer.witness(payload.pop("_clock"))
                 if verb == "telemetry":
-                    reply: Dict[str, Any] = {"ok": True}
-                    if shipper is not None:
-                        reply["batch"] = shipper.collect()
+                    reply: Dict[str, Any] = {"ok": True,
+                                             "batch": shipper.collect()}
                     try:
                         conn.send(reply)
                     except (BrokenPipeError, OSError):
@@ -242,11 +228,10 @@ def shard_main(config: ShardConfig, conn, notify) -> None:
                         drain=payload.get("drain", True),
                         deadline=payload.get("deadline"))
                     stopped = True
-                    reply = {"ok": True, "summary": summary}
-                    if shipper is not None:
-                        # Final incremental batch: spans/events emitted
-                        # since the last periodic pull (drain included).
-                        reply["batch"] = shipper.collect()
+                    # Final incremental batch: spans/events emitted
+                    # since the last periodic pull (drain included).
+                    reply = {"ok": True, "summary": summary,
+                             "batch": shipper.collect()}
                     with contextlib.suppress(OSError):
                         conn.send(reply)
                     break
@@ -255,8 +240,7 @@ def shard_main(config: ShardConfig, conn, notify) -> None:
                 except Exception as exc:
                     reply = {"ok": False, "error": type(exc).__name__,
                              "message": str(exc)}
-                if tracer is not None:
-                    reply["_clock"] = tracer.clock
+                reply["_clock"] = tracer.clock
                 try:
                     conn.send(reply)
                 except (BrokenPipeError, OSError):
@@ -267,7 +251,7 @@ def shard_main(config: ShardConfig, conn, notify) -> None:
                 # worker, journal the rest for the next incarnation.
                 with contextlib.suppress(Exception):
                     service.stop(drain="inflight", deadline=10.0)
-            if tracer is not None and config.trace:
+            if config.trace:
                 from repro.obs import write_trace_jsonl
 
                 with contextlib.suppress(Exception):

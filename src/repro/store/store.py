@@ -1,11 +1,9 @@
 """The persistent, content-addressed solve cache.
 
-A :class:`Store` is a directory of immutable JSON entries (plus
-optional binary sidecars), addressed by the sha256 keys of
-:mod:`repro.store.keys` and sharded git-style::
+A :class:`Store` is a directory of immutable JSON entries, addressed
+by the sha256 keys of :mod:`repro.store.keys` and sharded git-style::
 
     <root>/objects/ab/cdef0123....json    # envelope + payload
-    <root>/objects/ab/cdef0123....bin     # optional blob sidecar
     <root>/locks/ab.lock                  # per-shard writer lock
 
 Design rules:
@@ -114,9 +112,6 @@ class Store:
         self._check_key(key)
         return self.root / "objects" / key[:2] / f"{key[2:]}.json"
 
-    def _blob_path(self, key: str) -> Path:
-        return self._object_path(key).with_suffix(".bin")
-
     @staticmethod
     def _check_key(key: str) -> None:
         if not (isinstance(key, str) and len(key) == 64
@@ -191,8 +186,6 @@ class Store:
             obs_event("store_corrupt", key=path.stem[:16], problem=problem)
             with contextlib.suppress(OSError):
                 path.unlink()
-            with contextlib.suppress(OSError):
-                path.with_suffix(".bin").unlink()
             return None
         return entry
 
@@ -215,21 +208,13 @@ class Store:
             return "payload digest mismatch"
         return None
 
-    def get_blob(self, key: str) -> Optional[bytes]:
-        """The binary sidecar of ``key`` (None when absent)."""
-        try:
-            return self._blob_path(key).read_bytes()
-        except OSError:
-            return None
-
     def contains(self, key: str, kind: str) -> bool:
         """Validity check without counting a hit/miss or bumping LRU."""
         entry = self._load_entry(self._object_path(key), key, kind)
         return entry is not None
 
     # -- write path ----------------------------------------------------
-    def put(self, key: str, kind: str, payload: Dict[str, Any],
-            blob: Optional[bytes] = None) -> bool:
+    def put(self, key: str, kind: str, payload: Dict[str, Any]) -> bool:
         """Store ``payload`` under ``key``; returns False on a lost race.
 
         Entries are immutable: if a valid entry already exists the
@@ -250,9 +235,6 @@ class Store:
             if self._load_entry(path, key, kind) is not None:
                 self._count("put_races")
                 return False
-            if blob is not None:
-                with atomic_write(self._blob_path(key), "wb") as fh:
-                    fh.write(blob)
             with atomic_write(path) as fh:
                 json.dump(entry, fh)
         self._count("puts")
@@ -269,13 +251,11 @@ class Store:
             existed = path.exists()
             with contextlib.suppress(OSError):
                 path.unlink()
-            with contextlib.suppress(OSError):
-                self._blob_path(key).unlink()
         return existed
 
     # -- maintenance ---------------------------------------------------
     def _entries(self) -> List[Tuple[Path, float, int]]:
-        """Every entry as ``(json path, mtime, bytes incl. sidecar)``."""
+        """Every entry as ``(json path, mtime, bytes)``."""
         objects = self.root / "objects"
         found: List[Tuple[Path, float, int]] = []
         if not objects.is_dir():
@@ -285,11 +265,7 @@ class Store:
                 stat = path.stat()
             except OSError:
                 continue  # evicted or repaired concurrently
-            size = stat.st_size
-            blob = path.with_suffix(".bin")
-            with contextlib.suppress(OSError):
-                size += blob.stat().st_size
-            found.append((path, stat.st_mtime, size))
+            found.append((path, stat.st_mtime, stat.st_size))
         return found
 
     def gc(self, max_bytes: Optional[int] = None) -> Dict[str, int]:
@@ -325,8 +301,6 @@ class Store:
                         continue
                     with contextlib.suppress(OSError):
                         path.unlink()
-                    with contextlib.suppress(OSError):
-                        path.with_suffix(".bin").unlink()
                 total -= size
                 freed += size
                 evicted += 1
@@ -361,11 +335,8 @@ class Store:
             invalid.append({"key": key, "problem": problem})
             self._count("verify_failed")
             if repair:
-                with self._shard_lock(key):
-                    with contextlib.suppress(OSError):
-                        path.unlink()
-                    with contextlib.suppress(OSError):
-                        path.with_suffix(".bin").unlink()
+                with self._shard_lock(key), contextlib.suppress(OSError):
+                    path.unlink()
         return {"checked": checked, "valid": valid, "invalid": invalid}
 
     def stats(self) -> Dict[str, Any]:

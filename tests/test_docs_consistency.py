@@ -4,8 +4,9 @@ Docs drift silently; these tests fail loudly instead. Every module path
 mentioned in DESIGN.md/README.md must import, every benchmark file the
 experiment index points at must exist, the repository layout the
 README promises must be on disk, every backend name a doc passes
-must exist, and every keyword a doc passes to ``run_batch`` must be one
-of its parameters.
+must exist, every keyword a doc passes to ``run_batch`` must be one
+of its parameters, and every ``REPRO_*`` environment variable a doc
+names must be read by the code.
 """
 
 import importlib
@@ -142,6 +143,23 @@ def test_docs_pass_run_batch_only_real_parameters():
     assert found
     unknown = [(doc, name) for doc, name in found if name not in params]
     assert not unknown, f"docs pass unknown run_batch keywords: {unknown}"
+
+
+def test_docs_name_only_environment_variables_the_code_reads():
+    """Every ``REPRO_*`` variable the docs name appears as a string
+    literal in a Python file under src/, benchmarks/ or perfbench/, so
+    a doc cannot outlive its knob."""
+    docs = _doc_paths() + [ROOT / "perfbench" / "README.md"]
+    named = {(path.name, name) for path in docs
+             for name in re.findall(r"\bREPRO_[A-Z0-9_]+",
+                                    path.read_text(encoding="utf-8"))}
+    assert named
+    code = "\n".join(path.read_text(encoding="utf-8")
+                     for top in ("src", "benchmarks", "perfbench")
+                     for path in sorted((ROOT / top).rglob("*.py")))
+    unread = sorted((doc, name) for doc, name in named
+                    if f'"{name}"' not in code and f"'{name}'" not in code)
+    assert not unread, f"docs name variables no code reads: {unread}"
 
 
 def test_observability_doc_lists_the_published_counts():

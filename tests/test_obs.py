@@ -216,6 +216,26 @@ def test_run_manifest_fields(tmp_path):
     assert json.loads(path.read_text())["case"] == spec.name
 
 
+def test_run_manifest_asks_git_once(monkeypatch):
+    """A process describes its source tree once, not once per manifest."""
+    import subprocess
+
+    from repro.obs import manifest
+
+    real = subprocess.run
+    calls = []
+
+    def counting(args, *rest, **kwargs):
+        if args[0] == "git":
+            calls.append(args)
+        return real(args, *rest, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counting)
+    manifest.git_describe.cache_clear()
+    assert run_manifest()["git"] == run_manifest()["git"]
+    assert len(calls) == 1
+
+
 def test_fingerprints_are_stable_and_sensitive():
     spec = chip_sw1(BindingPolicy.FIXED)
     assert case_fingerprint(spec) == case_fingerprint(chip_sw1(BindingPolicy.FIXED))
@@ -671,3 +691,79 @@ def test_cli_trace_and_obs_subcommands(tmp_path, capsys):
     assert main(["obs", "timeline", str(jsonl), "--svg", str(svg)]) == 0
     assert "incumbent" in capsys.readouterr().out
     assert svg.read_text().startswith("<svg")
+
+
+def test_concurrent_traced_synthesize_calls_keep_their_own_tracers():
+    """Two threads each trace one ``synthesize`` call, ordered A
+    installs, B installs, A returns, B returns: each tracer holds
+    exactly its own run's spans, and no tracer stays installed."""
+    from repro.cases import generate_case
+    from repro.opt.solvers import (get_backend, register_backend,
+                                   unregister_backend)
+    from repro.opt.solvers.base import SolverBackend
+
+    specs = {name: generate_case(seed=seed, switch_size=8, n_flows=2,
+                                 n_inlets=2, n_conflicts=0,
+                                 binding=BindingPolicy.FIXED)
+             for name, seed in (("a", 0), ("b", 1))}
+    a_solving, b_solving, a_returned = (threading.Event() for _ in range(3))
+
+    class Gated(SolverBackend):
+        """HiGHS, held until the other thread has reached its step."""
+
+        name = "gated"
+
+        def solve(self, model, *args, **kwargs):
+            if threading.current_thread().name == "a":
+                a_solving.set()
+                assert b_solving.wait(60)
+            else:
+                b_solving.set()
+                assert a_returned.wait(60)
+            return get_backend("highs").solve(model, *args, **kwargs)
+
+    def span_names(spec, tracer):
+        records = tracer.records()
+        roots = [r for r in records
+                 if r["type"] == "span_begin" and "parent" not in r]
+        assert [(r["name"], r["attrs"]["case"]) for r in roots] \
+            == [("synthesize", spec.name)]
+        return [r["name"] for r in records if r["type"] == "span_begin"]
+
+    expected = {}
+    for name, spec in specs.items():
+        alone = Tracer(name)
+        synthesize(spec, SynthesisOptions(backend="highs", trace=alone,
+                                          cache=False))
+        expected[name] = span_names(spec, alone)
+
+    tracers = {name: Tracer(name) for name in specs}
+    errors = []
+
+    def run(name):
+        try:
+            synthesize(specs[name], SynthesisOptions(
+                backend="gated", trace=tracers[name], cache=False,
+                on_error="raise"))
+        except Exception as exc:  # reported below
+            errors.append(exc)
+        finally:
+            if name == "a":
+                a_returned.set()
+
+    register_backend("gated", Gated, replace=True)
+    try:
+        a = threading.Thread(target=run, args=("a",), name="a")
+        a.start()
+        assert a_solving.wait(60)
+        b = threading.Thread(target=run, args=("b",), name="b")
+        b.start()
+        a.join(120)
+        b.join(120)
+    finally:
+        unregister_backend("gated")
+    assert not a.is_alive() and not b.is_alive()
+    assert not errors
+    assert current_tracer() is None
+    for name, spec in specs.items():
+        assert span_names(spec, tracers[name]) == expected[name]

@@ -211,15 +211,6 @@ def test_concurrent_writers_converge(tmp_path):
     assert store.verify()["invalid"] == []
 
 
-def test_blob_sidecar_roundtrip(tmp_path):
-    store = Store(tmp_path)
-    key = some_key()
-    store.put(key, "catalog", {"routes": []}, blob=b"\x00\x01binary")
-    assert store.get_blob(key) == b"\x00\x01binary"
-    store.delete(key)
-    assert store.get_blob(key) is None
-
-
 def test_gc_evicts_least_recently_used(tmp_path):
     store = Store(tmp_path)
     keys = [some_key(str(i)) for i in range(4)]
