@@ -9,19 +9,22 @@ re-queued and re-run, and re-running a task is deterministic.
 """
 
 import math
+import multiprocessing as mp
 import os
 import random
 import signal
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core import BindingPolicy, SynthesisOptions, synthesize
-from repro.cases import chip_sw1
+from repro.cases import chip_sw1, generate_case
 from repro.errors import SolverError
 from repro.obs import Tracer, use_tracer
 from repro.opt import Model, SolveStatus, WarmStart, quicksum
+from repro.opt import parallel
 from repro.opt.parallel import (
     SubtreeExplorer,
     WorkerPool,
@@ -331,3 +334,32 @@ def test_synthesize_with_parallel_backend():
     reference = synthesize(
         spec, SynthesisOptions(backend="branch_bound", time_limit=120.0))
     assert result.objective == pytest.approx(reference.objective)
+
+
+@pytest.mark.parametrize("install", ["options", "use_tracer"])
+def test_traced_synthesis_keeps_forked_worker_telemetry(monkeypatch, install):
+    """Workers forked inside a traced ``synthesize`` record into their
+    own tracers, and the caller's tracer absorbs their ``bb_task``
+    spans, whether it came in as ``SynthesisOptions(trace=)`` or
+    through ``use_tracer``."""
+    if "fork" not in mp.get_all_start_methods():  # pragma: no cover
+        pytest.skip("fork start method unavailable")
+    monkeypatch.setattr(parallel, "pick_context",
+                        lambda: mp.get_context("fork"))
+    # 8 pins, 3 flows, clockwise: the search runs rounds on the pool
+    spec = generate_case(seed=3, switch_size=8, n_flows=3, n_inlets=2,
+                         n_conflicts=0, binding=BindingPolicy.CLOCKWISE)
+    options = SynthesisOptions(backend="parallel_bb:2", time_limit=120.0,
+                               cache=False)
+    tracer = Tracer("caller")
+    if install == "options":
+        result = synthesize(spec, replace(options, trace=tracer))
+    else:
+        with use_tracer(tracer):
+            result = synthesize(spec, options)
+    if result.counters["bb_workers"] < 2:  # pragma: no cover
+        pytest.skip("worker pool unavailable in this environment")
+    assert result.counters["bb_rounds"] >= 1
+    tasks = {r["src"] for r in tracer.records()
+             if r["type"] == "span_begin" and r["name"] == "bb_task"}
+    assert tasks and all(src.startswith("bb-worker-") for src in tasks)
