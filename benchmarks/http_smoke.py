@@ -20,7 +20,7 @@ network boundary:
    with strict checks, proving exactly-once completion across the kill.
 5. **Telemetry**: scrape ``GET /metrics`` and gate it with
    :func:`repro.obs.telemetry.validate_prometheus_text`; fetch a
-   completed job's flight-recorder trace from ``GET /jobs/<id>/trace``
+   completed job's trace from ``GET /jobs/<id>/trace``
    and schema-check it; after shutdown, validate the merged
    ``repro-obs-v1`` artifact the coordinator wrote. All three land in
    ``--out`` for CI upload.
@@ -230,7 +230,7 @@ def main(argv=None) -> int:
         except Exception as exc:  # noqa: BLE001 - report, don't crash
             failures.append(f"/metrics failed validation: {exc}")
 
-        # ... and a completed job's flight-recorder trace must come
+        # ... and a completed job's trace must come
         # back schema-valid with the job's correlation ID intact.
         try:
             done_id = jobs.get(spec_paths[0].name)

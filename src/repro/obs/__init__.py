@@ -41,9 +41,9 @@ from repro.obs.manifest import (
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.telemetry import (
-    FlightRecorder,
     TelemetryShipper,
     aggregate_metrics,
+    correlated_trace,
     correlation_id,
     correlation_job,
     merge_streams,
@@ -76,8 +76,8 @@ __all__ = [
     "correlate",
     "current_correlation",
     "TelemetryShipper",
-    "FlightRecorder",
     "aggregate_metrics",
+    "correlated_trace",
     "correlation_id",
     "correlation_job",
     "merge_streams",

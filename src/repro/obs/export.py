@@ -64,13 +64,16 @@ def write_trace_jsonl(trace: Union[Tracer, List[Dict[str, Any]]],
                       name: str = "", dropped: int = 0) -> Path:
     """Write the canonical JSONL artifact (header line + one record/line).
 
-    The header's ``name`` and ``dropped`` (events lost to the buffer
-    cap) are a :class:`Tracer`'s own; a record list takes them from
-    the keywords.
+    The header's ``name`` and ``dropped`` (records lost to a buffer cap)
+    are a :class:`Tracer`'s own, its ``dropped`` counting what each
+    absorbed stream lost too; a record list takes them from the
+    keywords.
     """
     records = _records_of(trace)
     if isinstance(trace, Tracer):
-        name, dropped = trace.name, trace.dropped
+        name = trace.name
+        dropped = trace.dropped + sum(
+            s["dropped"] for s in trace.streams().values())
     header: Dict[str, Any] = {"type": "header", "schema": OBS_SCHEMA}
     if name:
         header["name"] = name

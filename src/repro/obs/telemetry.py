@@ -7,15 +7,17 @@ moves them:
 
 * :class:`TelemetryShipper` — child side. Wraps the process-local
   :class:`~repro.obs.trace.Tracer` and cuts bounded, *framed* batches
-  of everything recorded since the previous cut (records are shipped
-  exactly once; metric snapshots are cumulative).
+  by taking what it ships out of that tracer, so records ship exactly
+  once and a child holds at most one cut's worth of them; metric
+  snapshots are cumulative.
 * The parent side is the parent's own tracer:
   :meth:`~repro.obs.trace.Tracer.absorb_batch` validates each batch's
   framing (a batch from a SIGKILLed child that was torn mid-build is
-  refused whole — never half-absorbed) and keys what it takes in by
+  refused whole — never half-absorbed), keys what it takes in by
   ``(source, pid)``, so a respawned shard is a *new* stream rather
-  than a rollback of the old one. :func:`aggregate_metrics` sums the
-  streams' latest snapshots.
+  than a rollback of the old one, and keeps the records once, in one
+  store bounded by its ``max_events``. :func:`aggregate_metrics` sums
+  the streams' latest snapshots.
 * :func:`merge_streams` — the deterministic merge behind
   :meth:`~repro.obs.trace.Tracer.records`. Records are ordered by
   ``(logical_clock, pid, seq)`` and re-identified (span ids, thread
@@ -26,9 +28,8 @@ moves them:
 * :func:`render_prometheus` / :func:`validate_prometheus_text` — text
   exposition of per-stream metric snapshots (no client library
   required), plus the validator CI uses to gate the format.
-* :class:`FlightRecorder` — a bounded per-job ring of the spans and
-  events carrying a job's correlation ID, retained after completion so
-  ``GET /jobs/<id>/trace`` can answer for recently finished work.
+* :func:`correlated_trace` — one job's records out of that store, by
+  correlation ID or job id, behind ``GET /jobs/<id>/trace``.
 
 Wire format (``TELEMETRY_VERSION = 1``)::
 
@@ -48,8 +49,7 @@ from __future__ import annotations
 import json
 import os
 import re
-import threading
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.trace import OBS_SCHEMA, Tracer
@@ -92,62 +92,56 @@ class TelemetryShipper:
         self.tracer = tracer
         self.source = source or tracer.name or "proc"
         self.max_batch = max_batch
-        self._sent = 0
-        #: Absorbed stream -> (its records relayed, its batches seen).
-        self._relayed: Dict[Tuple[str, int], Tuple[int, int]] = {}
-        self._lock = threading.Lock()
 
     def collect(self) -> Dict[str, Any]:
         """One batch of everything recorded since the previous cut.
 
-        Buffer records ship exactly once (the shipper remembers its
-        high-water mark); the metric snapshot and drop count are
-        cumulative, so the parent always holds the child's latest
-        totals even if an intermediate batch is lost with the child.
-        Each stream the tracer absorbed from *its own* children (B&B
-        workers under a shard) that took a batch since the previous
-        cut rides along in ``foreign``, as one batch of its new records
-        and latest totals, so grandchild telemetry reaches the
-        top-level tracer as its own stream.
+        The batch takes its records out of the tracer, up to
+        ``max_batch`` of them (the rest ship on the next cut), so each
+        ships exactly once and the tracer keeps none it has shipped.
+        The metric snapshot and drop count are cumulative, so the
+        parent always holds the child's latest totals even if an
+        intermediate batch is lost with the child. Every stream the
+        tracer absorbed from *its own* children (B&B workers under a
+        shard) leaves it too, riding along in ``foreign`` as one batch
+        of its records and latest totals, so grandchild telemetry
+        reaches the top-level tracer as its own stream. Records of
+        those streams that the tracer's bound evicted count in the
+        tracer's own drop count, since the next tier never sees them.
         """
         tracer = self.tracer
-        with self._lock:
-            with tracer._lock:
-                records = tracer._records[self._sent:self._sent + self.max_batch]
-                self._sent += len(records)
-                foreign = [self._relay(key, stream)
-                           for key, stream in tracer._streams.items()
-                           if stream["batches"]
-                           != self._relayed.get(key, (0, 0))[1]]
-                dropped = tracer.dropped
-                clock = tracer.clock
-            batch = {
-                "v": TELEMETRY_VERSION,
-                "source": self.source,
-                "pid": os.getpid(),
-                "clock": clock,
-                "records": [dict(r) for r in records],
-                "metrics": tracer.metrics.snapshot(),
-                "dropped": dropped,
-            }
-            if foreign:
-                batch["foreign"] = foreign
-            return _framed(batch)
-
-    def _relay(self, key: Tuple[str, int],
-               stream: Dict[str, Any]) -> Dict[str, Any]:
-        """One absorbed stream's news since the previous cut, as a batch."""
-        sent = self._relayed.get(key, (0, 0))[0]
-        self._relayed[key] = (len(stream["records"]), stream["batches"])
-        return _framed({
+        with tracer._lock:
+            records = tracer._records[:self.max_batch]
+            del tracer._records[:len(records)]
+            streams, tracer._streams = tracer._streams, {}
+            absorbed, tracer._absorbed = tracer._absorbed, deque()
+            tracer.dropped += sum(s["evicted"] for s in streams.values())
+            dropped = tracer.dropped
+            clock = tracer.clock
+        relayed: Dict[Tuple[str, int], List[Dict[str, Any]]] = {
+            key: [] for key in streams}
+        for key, record in absorbed:
+            relayed[key].append(record)
+        batch = {
             "v": TELEMETRY_VERSION,
-            "source": key[0],
-            "pid": key[1],
-            "clock": stream["clock"],
-            "records": stream["records"][sent:],
-            "metrics": stream["metrics"],
-            "dropped": stream["dropped"],
-        })
+            "source": self.source,
+            "pid": os.getpid(),
+            "clock": clock,
+            "records": records,
+            "metrics": tracer.metrics.snapshot(),
+            "dropped": dropped,
+        }
+        if streams:
+            batch["foreign"] = [_framed({
+                "v": TELEMETRY_VERSION,
+                "source": key[0],
+                "pid": key[1],
+                "clock": stream["clock"],
+                "records": relayed[key],
+                "metrics": stream["metrics"],
+                "dropped": stream["dropped"],
+            }) for key, stream in streams.items()]
+        return _framed(batch)
 
 
 def _framed(batch: Dict[str, Any]) -> Dict[str, Any]:
@@ -332,74 +326,41 @@ def _merge_histogram(into: Dict[str, Any], snap: Dict[str, Any]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# per-job flight recorder
+# one job's records out of the absorbed store
 # ---------------------------------------------------------------------------
-class FlightRecorder:
-    """Bounded ring of recent records per correlation ID.
+def correlated_trace(tracer: Tracer,
+                     key: str) -> Optional[List[Dict[str, Any]]]:
+    """One job's absorbed records as one small schema-valid stream.
 
-    Retains up to ``max_jobs`` jobs (LRU) with up to ``max_records``
-    records each, *after* completion, so an operator can pull the trace
-    of a job that just finished without having configured tracing up
-    front. Lookup works by full correlation ID or by the job id it
-    embeds.
+    ``key`` is a correlation ID, or a bare job id standing for the
+    newest of its correlation IDs in ``tracer``'s store. The records
+    are merged per process of origin, so the result passes
+    ``validate_trace_records`` on its own even where the store's bound
+    cut a span in two. None when the store holds nothing of the job.
     """
-
-    def __init__(self, max_jobs: int = 64, max_records: int = 512) -> None:
-        self.max_jobs = max_jobs
-        self.max_records = max_records
-        self._lock = threading.Lock()
-        self._rings: "OrderedDict[str, List[Dict[str, Any]]]" = OrderedDict()
-        self._by_job: Dict[str, str] = {}
-
-    def observe(self, records: Iterable[Dict[str, Any]]) -> None:
-        with self._lock:
-            for record in records:
-                corr = record.get("corr")
-                if not corr:
-                    continue
-                ring = self._rings.get(corr)
-                if ring is None:
-                    ring = self._rings[corr] = []
-                    self._by_job[correlation_job(corr)] = corr
-                    while len(self._rings) > self.max_jobs:
-                        evicted, _ = self._rings.popitem(last=False)
-                        self._by_job.pop(correlation_job(evicted), None)
-                ring.append(dict(record))
-                if len(ring) > self.max_records:
-                    del ring[0]
-                self._rings.move_to_end(corr)
-
-    def trace(self, key: str) -> Optional[List[Dict[str, Any]]]:
-        """The job's records as one small schema-valid stream.
-
-        ``key`` may be a correlation ID or a bare job id. Records are
-        re-sequenced and ring-torn span structure is repaired, so the
-        result passes ``validate_trace_records`` on its own.
-        """
-        with self._lock:
-            corr = key if key in self._rings else self._by_job.get(key)
-            if corr is None:
-                return None
-            records = [dict(r) for r in self._rings[corr]]
-        return merge_streams(_group_by_origin(records))
-
-
-def _group_by_origin(
-        records: List[Dict[str, Any]],
-) -> List[Tuple[str, int, List[Dict[str, Any]]]]:
-    """Split flight-ring records back into their per-process streams."""
-    groups: "OrderedDict[Tuple[str, int], List[Dict[str, Any]]]" = OrderedDict()
-    for record in records:
-        key = (record.get("src", "flight"), record.get("pid", 0))
-        groups.setdefault(key, []).append(record)
-    return [(name, pid, recs) for (name, pid), recs in groups.items()]
+    with tracer._lock:
+        absorbed = list(tracer._absorbed)
+    # One pass keeps every record whose correlation ID starts with the
+    # key; the exact ID, else the job's newest submission, wins.
+    found: Dict[str, Dict[Tuple[str, int], List[Dict[str, Any]]]] = {}
+    for stream, record in absorbed:
+        corr = record.get("corr")
+        if corr and corr.startswith(key):
+            found.setdefault(corr, {}).setdefault(stream, []).append(record)
+    if key not in found:
+        jobs = [corr for corr in found if correlation_job(corr) == key]
+        if not jobs:
+            return None
+        key = jobs[-1]
+    return merge_streams(
+        [(name, pid, records) for (name, pid), records in found[key].items()])
 
 
 # ---------------------------------------------------------------------------
 # Prometheus text exposition
 # ---------------------------------------------------------------------------
 _NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_OK = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*$")
+_LABEL_PAIR = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 _SAMPLE = re.compile(
     r"^([a-zA-Z_:][a-zA-Z0-9_:]*)"
     r"(\{[^{}]*\})?"
@@ -498,24 +459,40 @@ def series_from_sources(
 
     A snapshot key of the ``name[instance]`` form (an instanced
     instrument, see :class:`~repro.obs.metrics.MetricsRegistry`) wins
-    over the stream's source name for the ``instance`` label.
+    over the stream's source name (the key up to any ``@pid``) for the
+    ``instance`` label. Snapshots that share an instance fold into one
+    series with :func:`aggregate_metrics`, in the order of
+    ``metrics_by_source``, so no series repeats: the incarnations of a
+    respawned shard (counters summed, so they never go backwards, and
+    gauges from the newest), and the shards that count into one shared
+    store.
     """
     from repro.obs.metrics import split_metric_key
-    series: List[Tuple[str, Dict[str, str], Dict[str, Any]]] = []
-    for source, snapshot in sorted(metrics_by_source.items()):
+    by_instance: Dict[str, List[Dict[str, Dict[str, Any]]]] = {}
+    for source, snapshot in metrics_by_source.items():
         stream = source.split("@", 1)[0]
-        for key, snap in sorted(snapshot.items()):
+        per: Dict[str, Dict[str, Dict[str, Any]]] = {}
+        for key, snap in snapshot.items():
             name, instance = split_metric_key(key)
-            labels = {"instance": snap.get("instance") or instance or stream}
-            snap = {k: v for k, v in snap.items() if k != "instance"}
-            series.append((name, labels, snap))
-    return series
+            label = snap.get("instance") or instance or stream
+            per.setdefault(label, {})[name] = {
+                k: v for k, v in snap.items() if k != "instance"}
+        for label, snaps in per.items():
+            by_instance.setdefault(label, []).append(snaps)
+    return [(name, {"instance": label}, snap)
+            for label, snaps in sorted(by_instance.items())
+            for name, snap in aggregate_metrics(snaps).items()]
 
 
 def validate_prometheus_text(text: str) -> int:
-    """Validate exposition text; returns the sample count or raises."""
+    """Validate exposition text; returns the sample count or raises.
+
+    A sample whose name and label set already appeared is refused, as
+    a Prometheus scrape refuses it.
+    """
     samples = 0
     typed: Dict[str, str] = {}
+    seen: set = set()
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
@@ -543,22 +520,15 @@ def validate_prometheus_text(text: str) -> int:
         base = re.sub(r"_(bucket|sum|count)$", "", name)
         if typed and name not in typed and base not in typed:
             raise ValueError(f"line {lineno}: sample {name!r} has no TYPE")
-        if labelstr:
-            body = labelstr[1:-1]
-            if body:
-                for pair in re.findall(
-                        r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"',
-                        body):
-                    if not _LABEL_OK.match(pair[0]):
-                        raise ValueError(
-                            f"line {lineno}: bad label {pair[0]!r}")
-                rebuilt = ",".join(
-                    f'{k}="{v}"' for k, v in re.findall(
-                        r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"',
-                        body))
-                if rebuilt != body.rstrip(","):
-                    raise ValueError(
-                        f"line {lineno}: malformed labels: {labelstr!r}")
+        pairs = _LABEL_PAIR.findall(labelstr[1:-1]) if labelstr else []
+        if labelstr and ",".join(f'{k}="{v}"' for k, v in pairs) \
+                != labelstr[1:-1].rstrip(","):
+            raise ValueError(
+                f"line {lineno}: malformed labels: {labelstr!r}")
+        series = (name, tuple(sorted(pairs)))
+        if series in seen:
+            raise ValueError(f"line {lineno}: repeated series: {line!r}")
+        seen.add(series)
         samples += 1
     if not samples:
         raise ValueError("no samples in exposition output")
@@ -570,12 +540,12 @@ __all__ = [
     "MAX_BATCH_RECORDS",
     "OBS_SCHEMA",
     "TelemetryShipper",
-    "FlightRecorder",
     "aggregate_metrics",
     "correlation_id",
     "correlation_job",
     "validate_batch",
     "merge_streams",
+    "correlated_trace",
     "render_prometheus",
     "series_from_sources",
     "validate_prometheus_text",

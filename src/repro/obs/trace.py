@@ -48,9 +48,10 @@ import itertools
 import os
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry, snapshot_records
 
@@ -112,10 +113,13 @@ class Tracer:
         self._local = threading.local()
         self._tids: Dict[int, int] = {}
         # Telemetry absorbed from child processes (shards, B&B workers),
-        # one stream per (source, pid): its records in arrival order, the
-        # metric snapshot, drop count and clock of its latest batch, and
-        # how many batches it took.
+        # one stream per (source, pid): the metric snapshot, drop count
+        # and clock of its latest batch, and how many of its records the
+        # store below evicted.
         self._streams: Dict[Tuple[str, int], Dict[str, Any]] = {}
+        # Every stream's absorbed records in arrival order, as
+        # (stream, record) pairs, at most ``max_events`` of them.
+        self._absorbed: Deque[Tuple[Tuple[str, int], Dict[str, Any]]] = deque()
         # Spans begun but not yet ended (any thread); lets a snapshot
         # taken mid-run close them synthetically so every exported
         # stream is balanced (another thread may still be inside its
@@ -186,47 +190,49 @@ class Tracer:
         """This thread's active correlation ID, or None."""
         return getattr(self._local, "corr", None)
 
-    def absorb_batch(self, batch: Any) -> List[Dict[str, Any]]:
+    def absorb_batch(self, batch: Any) -> bool:
         """Adopt a telemetry batch shipped by a child process.
 
-        The batch's records join its ``(source, pid)`` stream, which
-        :meth:`records` merges in deterministically (via
-        :mod:`repro.obs.telemetry`). Its metric snapshot and drop count
-        are cumulative, so they replace the stream's previous ones, and
-        :meth:`streams` always holds each child's latest totals. A
-        respawned child reports under a new pid, so it starts a new
-        stream. Batches it relays (``foreign``) are absorbed in turn as
-        their own streams. A torn batch is refused whole and counted in
-        :attr:`rejected`.
+        The batch's records join one store shared by every absorbed
+        stream and bounded by :attr:`max_events`: past the bound the
+        oldest records go first, each counted in its own stream's
+        ``dropped``. :meth:`records` merges the store in per
+        ``(source, pid)`` stream (via :mod:`repro.obs.telemetry`). The
+        batch's metric snapshot and drop count are cumulative, so they
+        replace the stream's previous ones, and :meth:`streams` always
+        holds each child's latest totals. A respawned child reports
+        under a new pid, so it starts a new stream. Batches it relays
+        (``foreign``) are absorbed in turn as their own streams. A torn
+        batch is refused whole and counted in :attr:`rejected`.
 
-        Returns the batches taken in, this one first and then every
-        whole relayed one, or ``[]`` when this one is torn.
+        Returns False when the batch is torn.
         """
         from repro.obs.telemetry import validate_batch
         if not validate_batch(batch):
             with self._lock:
                 self.rejected += 1
-            return []
+            return False
         key = (batch["source"], batch["pid"])
         with self._lock:
-            stream = self._streams.setdefault(key, {"records": [],
-                                                    "batches": 0})
-            stream["records"].extend(batch["records"])
+            stream = self._streams.setdefault(key, {"evicted": 0})
             stream["metrics"] = batch["metrics"]
             stream["dropped"] = batch.get("dropped", 0)
             stream["clock"] = int(batch.get("clock", 0))
-            stream["batches"] += 1
             self.clock = max(self.clock, stream["clock"]) + 1
-        absorbed = [batch]
+            self._absorbed.extend((key, record) for record in batch["records"])
+            while len(self._absorbed) > self.max_events:
+                self._streams[self._absorbed.popleft()[0]]["evicted"] += 1
         for sub in batch.get("foreign") or ():
-            absorbed += self.absorb_batch(sub)
-        return absorbed
+            self.absorb_batch(sub)
+        return True
 
     def streams(self) -> Dict[Tuple[str, int], Dict[str, Any]]:
-        """Each absorbed stream's latest ``metrics`` snapshot and
-        ``dropped`` count, keyed ``(source, pid)`` in arrival order."""
+        """Each absorbed stream's latest ``metrics`` snapshot and its
+        ``dropped`` count (the child's own plus the store's evictions),
+        keyed ``(source, pid)`` in arrival order."""
         with self._lock:
-            return {key: {"metrics": s["metrics"], "dropped": s["dropped"]}
+            return {key: {"metrics": s["metrics"],
+                          "dropped": s["dropped"] + s["evicted"]}
                     for key, s in self._streams.items()}
 
     # -- spans ---------------------------------------------------------
@@ -305,15 +311,16 @@ class Tracer:
         another thread) get a synthetic ``span_end`` marked
         ``truncated`` — innermost first — so the stream is always
         balanced. With ``with_metrics`` one trailing ``metric`` record
-        per registered instrument is appended. Absorbed child streams
-        are merged in, each closed by the ``metric`` records of its
-        latest snapshot.
+        per registered instrument is appended. The absorbed store is
+        merged in per child stream, each closed by the ``metric``
+        records of its latest snapshot.
         """
         now = round(self._now(), 7)
         with self._lock:
             out = list(self._records)
             still_open = sorted(self._open.items(), reverse=True)
-            foreign = [(key, list(s["records"]), s["metrics"], s["clock"])
+            absorbed = list(self._absorbed)
+            foreign = [(key, s["metrics"], s["clock"])
                        for key, s in self._streams.items()]
             clock = self.clock
         for span_id, begin in still_open:
@@ -343,15 +350,17 @@ class Tracer:
         from repro.obs.telemetry import merge_streams
         streams: Dict[Tuple[str, int], List[Dict[str, Any]]] = {
             (self.name or "main", os.getpid()): out}
-        for key, records, metrics, last_clock in foreign:
-            if with_metrics:
+        for key, record in absorbed:
+            streams.setdefault(key, []).append(record)
+        if with_metrics:
+            for key, metrics, last_clock in foreign:
+                records = streams.setdefault(key, [])
                 last = records[-1] if records else {}
                 for i, record in enumerate(snapshot_records(metrics), 1):
                     record.update(t=last.get("t", 0.0),
                                   seq=last.get("seq", 0) + i,
                                   clock=last_clock)
                     records.append(record)
-            streams.setdefault(key, []).extend(records)
         return merge_streams(
             [(name, pid, recs) for (name, pid), recs in streams.items()])
 

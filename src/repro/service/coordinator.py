@@ -33,15 +33,16 @@ once a second it pulls an incremental batch (``telemetry`` verb) from
 every live shard and hands it to
 :meth:`~repro.obs.trace.Tracer.absorb_batch` on :attr:`tracer` — the
 tracer installed when the coordinator starts, else its own — just as
-``parallel_bb`` does with its workers' batches. So that tracer's
+``parallel_bb`` does with its workers' batches. A shard hands over what
+it ships and keeps none of it; the tracer keeps each record once, in a
+store bounded by its ``max_events``. So that tracer's
 :meth:`~repro.obs.trace.Tracer.records` is the platform's one merged
-stream, and its per-stream metric snapshots back ``GET /metrics``. Each
-absorbed batch also feeds a per-job flight recorder behind
-``GET /jobs/<id>/trace``; both endpoints pull on demand first, and the
-merged stream is written as a trace artifact on :meth:`stop`. Logical
-clocks piggyback on every RPC in both directions (``_clock`` in payload
-and reply), so the deterministic merge orders causally-related records
-consistently.
+stream, its per-stream metric snapshots back ``GET /metrics``, and
+``GET /jobs/<id>/trace`` reads one job's records out of its store; both
+endpoints pull on demand first, and the merged stream is written as a
+trace artifact on :meth:`stop`. Logical clocks piggyback on every RPC
+in both directions (``_clock`` in payload and reply), so the
+deterministic merge orders causally-related records consistently.
 
 **Completion.** Each shard pushes the line of every job a worker
 finishes down a one-way notify pipe. A dedicated listener thread
@@ -72,7 +73,7 @@ from multiprocessing import connection
 from typing import Any, Dict, List, Optional
 
 from repro.errors import AdmissionError, ServiceError
-from repro.obs.telemetry import FlightRecorder, _merge_histogram
+from repro.obs.telemetry import _merge_histogram, correlated_trace
 from repro.obs.trace import Tracer, current_tracer, use_tracer
 from repro.service.journal import TERMINAL_STATES
 from repro.service.shard import ShardConfig, shard_main
@@ -125,9 +126,6 @@ class ShardCoordinator:
         options: Optional[Dict[str, Any]] = None,
         backends: Optional[List[str]] = None,
         max_attempts: int = 3,
-        backoff: Optional[Dict[str, Any]] = None,
-        breaker_threshold: int = 3,
-        breaker_reset: float = 5.0,
         store: Optional[Any] = None,
         tenant_quota: Optional[int] = None,
         trace_dir: Optional[str] = None,
@@ -142,8 +140,6 @@ class ShardCoordinator:
         #: Where every shard batch and coordinator event lands: the
         #: tracer installed when :meth:`start` runs, else this one.
         self.tracer = Tracer("coordinator")
-        #: Recent jobs' records, teed off every absorbed batch.
-        self.flight = FlightRecorder()
         if store is not None and not hasattr(store, "get"):
             from repro.store import Store
 
@@ -152,26 +148,17 @@ class ShardCoordinator:
         # Always spawn: shards are respawned from the monitor *thread*,
         # and forking a multithreaded process is undefined behaviour.
         self._ctx = mp.get_context("spawn")
-        self._shards: List[_Shard] = []
-        for index in range(shards):
-            trace = None
-            if trace_dir is not None:
-                trace = str(Path(trace_dir) / f"shard-{index}-trace.jsonl")
-            self._shards.append(_Shard(ShardConfig(
-                index=index,
-                journal=str(self.journal_dir / f"shard-{index}.jsonl"),
-                workers=workers,
-                queue_size=queue_size,
-                options=dict(options or {}),
-                backends=list(backends) if backends else None,
-                max_attempts=max_attempts,
-                backoff=dict(backoff or {}),
-                breaker_threshold=breaker_threshold,
-                breaker_reset=breaker_reset,
-                store=store,
-                tenant_quota=tenant_quota,
-                trace=trace,
-            )))
+        self._shards = [_Shard(ShardConfig(
+            index=index,
+            journal=str(self.journal_dir / f"shard-{index}.jsonl"),
+            workers=workers,
+            queue_size=queue_size,
+            options=dict(options or {}),
+            backends=list(backends) if backends else None,
+            max_attempts=max_attempts,
+            store=store,
+            tenant_quota=tenant_quota,
+        )) for index in range(shards)]
         self._stopping = threading.Event()
         self._monitor: Optional[threading.Thread] = None
         #: Set once ``stop`` has stopped every shard; ends the listener.
@@ -328,20 +315,9 @@ class ShardCoordinator:
             except (ShardError, AdmissionError):
                 continue  # dead/respawning shard: its final batch is lost
             batch = reply.get("batch")
-            if batch is not None and self._absorb(batch):
+            if batch is not None and self.tracer.absorb_batch(batch):
                 absorbed += 1
         return absorbed
-
-    def _absorb(self, batch: Dict[str, Any]) -> bool:
-        """One shard batch into :attr:`tracer`, teed into the flight
-        recorder; False when it was torn."""
-        absorbed = self.tracer.absorb_batch(batch)
-        for part in absorbed:
-            # The flight ring mixes records from every process, so stamp
-            # each record's origin now; the per-job merge groups on it.
-            self.flight.observe(dict(r, src=part["source"], pid=part["pid"])
-                                for r in part["records"])
-        return bool(absorbed)
 
     def _recover(self, shard: _Shard) -> None:
         """Respawn a dead shard on its journal. Caller holds the lock."""
@@ -397,7 +373,7 @@ class ShardCoordinator:
                                 if reply.get("batch") is not None:
                                     # The shard's final increment rides
                                     # on its last message.
-                                    self._absorb(reply["batch"])
+                                    self.tracer.absorb_batch(reply["batch"])
                     except (BrokenPipeError, EOFError, OSError):
                         pass
                 if shard.process is not None:
@@ -416,8 +392,8 @@ class ShardCoordinator:
             if shard.notify is not None:
                 shard.notify.close()  # pipes the listener never saw
         if self.trace_dir is not None and was_started:
-            # One merged artifact next to the per-shard traces: the
-            # whole platform's record stream as a single valid trace.
+            # The whole platform's record stream as a single valid
+            # trace, its header counting what the streams lost.
             # (Guarded on was_started so a second stop() — e.g. the
             # context manager exiting after an explicit stop — does not
             # rewrite it.)
@@ -426,8 +402,7 @@ class ShardCoordinator:
             with contextlib.suppress(Exception):
                 self.trace_dir.mkdir(parents=True, exist_ok=True)
                 write_trace_jsonl(
-                    self.telemetry_records(),
-                    str(self.trace_dir / "merged-trace.jsonl"))
+                    self.tracer, str(self.trace_dir / "merged-trace.jsonl"))
         if self._tracer_ctx is not None:
             self._tracer_ctx.__exit__(None, None, None)
             self._tracer_ctx = None
@@ -698,13 +673,15 @@ class ShardCoordinator:
         return self.tracer.records()
 
     def metrics_snapshot(self) -> Dict[str, Dict[str, Any]]:
-        """Latest per-stream metric snapshots, keyed ``source@pid``.
+        """Latest per-stream metric snapshots, keyed ``source@pid`` in
+        arrival order.
 
         :attr:`tracer`'s own registry appears as one more stream, so
         ``/metrics`` exposes parent-side counters next to shard-side
-        ones. Pulls a fresh batch first so a scrape always reflects the
-        shards' current totals rather than the last monitor-interval
-        snapshot.
+        ones; :func:`~repro.obs.telemetry.series_from_sources` folds the
+        incarnations of a respawned shard into one series. Pulls a
+        fresh batch first so a scrape always reflects the shards'
+        current totals rather than the last monitor-interval snapshot.
         """
         self.pull_telemetry()
         tracer = self.tracer
@@ -715,14 +692,15 @@ class ShardCoordinator:
         return sources
 
     def job_trace(self, job_id: str) -> List[Dict[str, Any]]:
-        """Flight-recorder trace for a recent job (KeyError if absent).
+        """One job's records from :attr:`tracer`'s store (KeyError if
+        it holds none).
 
         ``job_id`` may be a bare job id or a full correlation ID. Pulls
         a fresh batch first so a job that just finished is visible
         without waiting out the telemetry interval.
         """
         self.pull_telemetry()
-        records = self.flight.trace(job_id)
+        records = correlated_trace(self.tracer, job_id)
         if records is None:
             raise KeyError(job_id)
         return records

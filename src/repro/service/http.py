@@ -20,11 +20,12 @@ into a reproduction repo:
                           terminal or the wait (capped at
                           ``MAX_WAIT``) expires — the response is the
                           job's state either way; callers re-poll.
-``GET /jobs/<id>/trace``  ``200`` + the job's flight-recorder trace
+``GET /jobs/<id>/trace``  ``200`` + the job's trace
                           (``{"job", "records": [...]}``, a standalone
                           schema-valid ``repro-obs-v1`` stream), ``404``
-                          when the job was never seen or has aged out
-                          of the bounded ring.
+                          when the job was never seen or its records
+                          have aged out of the coordinator's bounded
+                          telemetry store.
 ``GET /health``           ``200`` when every shard is live+ready,
                           else ``503``; body is the rolled-up dict.
 ``GET /stats``            ``200`` + aggregated coordinator stats
@@ -453,7 +454,7 @@ def fetch_metrics(base_url: str, *, timeout: float = 60.0) -> str:
 
 def fetch_trace(base_url: str, job_id: str, *,
                 timeout: float = 60.0) -> Dict[str, Any]:
-    """GET a job's flight-recorder trace (``{"job", "records"}``)."""
+    """GET a job's trace (``{"job", "records"}``)."""
     status, payload = _request(
         "GET", f"{base_url.rstrip('/')}/jobs/{job_id}/trace",
         timeout=timeout)

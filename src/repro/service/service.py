@@ -334,10 +334,10 @@ class SynthesisService:
         plus ``faults`` (:class:`~repro.sim.faults.ValveFault`s or a
         :class:`~repro.switches.health.HealthMask`) and submits it under
         the original job's correlation ID, so the repair's whole
-        lifecycle lands in the original campaign's flight-recorder
-        trace. The repair job's id is a pure function of the masked
-        spec and options — resubmitting the same fault set dedups onto
-        the same journaled job (exactly-once), and a restart replays it
+        lifecycle lands in the original campaign's job trace. The
+        repair job's id is a pure function of the masked spec and
+        options — resubmitting the same fault set dedups onto the same
+        journaled job (exactly-once), and a restart replays it
         like any other.
         """
         from repro.repair.engine import mask_spec

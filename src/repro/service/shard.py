@@ -23,7 +23,8 @@ job        ``{"id"}`` → ``{"ok": True, "job": <job line>}``
 stats      ``{}`` → ``{"ok": True, "stats", "pid"}``
 health     ``{}`` → ``{"ok": True, "health", "pid"}``
 telemetry  ``{}`` → ``{"ok": True, "batch": <telemetry batch>}``
-           (incremental: records since the previous pull)
+           (incremental: the records since the previous pull, which
+           leave the shard with the batch)
 stop       ``{"drain", "deadline"?}`` → ``{"ok": True, "summary",
            "batch"}`` (the reply is the shard's last message,
            carrying its final telemetry batch; it then exits)
@@ -40,7 +41,10 @@ order causally-related records consistently (see
 :mod:`repro.obs.telemetry`).
 
 Only the ``telemetry`` reply and the final ``stop`` reply carry a
-telemetry batch; every other reply carries just ``_clock``.
+telemetry batch; every other reply carries just ``_clock``. A batch
+takes its records out of the shard's tracer, so the shard holds at most
+one pull's worth of telemetry however long it runs, and the coordinator
+keeps the only copy.
 
 Beside the RPC pipe, each shard gets a one-way **notify pipe**. When a
 worker finishes a job, the shard sends the job's terminal line — the
@@ -77,7 +81,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError
-from repro.service.backoff import Backoff
 
 
 @dataclass
@@ -98,14 +101,8 @@ class ShardConfig:
     options: Dict[str, Any] = field(default_factory=dict)
     backends: Optional[List[str]] = None
     max_attempts: int = 3
-    #: Constructor kwargs for the shard's :class:`Backoff` policy.
-    backoff: Dict[str, Any] = field(default_factory=dict)
-    breaker_threshold: int = 3
-    breaker_reset: float = 5.0
     store: Optional[Any] = None
     tenant_quota: Optional[int] = None
-    #: Where to write this shard's obs trace on stop (None = no trace).
-    trace: Optional[str] = None
 
 
 def build_service(config: ShardConfig):
@@ -119,9 +116,6 @@ def build_service(config: ShardConfig):
         options=options_from_dict(config.options) if config.options else None,
         backends=config.backends,
         max_attempts=config.max_attempts,
-        backoff=Backoff(**config.backoff),
-        breaker_threshold=config.breaker_threshold,
-        breaker_reset=config.breaker_reset,
         store=config.store,
         tenant_quota=config.tenant_quota,
         instance=f"shard-{config.index}",
@@ -190,8 +184,8 @@ def shard_main(config: ShardConfig, conn, notify) -> None:
     from repro.obs.telemetry import TelemetryShipper
     from repro.obs.trace import Tracer, use_tracer
 
-    # The shard's spans, events and metrics ship to the coordinator
-    # over the pipe; the tracer is bounded, so an idle one costs a few KB.
+    # The shard's spans, events and metrics leave with each batch it
+    # ships to the coordinator, so the tracer holds one pull's worth.
     tracer = Tracer(f"shard-{config.index}")
     shipper = TelemetryShipper(tracer, source=f"shard-{config.index}")
 
@@ -251,11 +245,6 @@ def shard_main(config: ShardConfig, conn, notify) -> None:
                 # worker, journal the rest for the next incarnation.
                 with contextlib.suppress(Exception):
                     service.stop(drain="inflight", deadline=10.0)
-            if config.trace:
-                from repro.obs import write_trace_jsonl
-
-                with contextlib.suppress(Exception):
-                    write_trace_jsonl(tracer, config.trace)
 
 
 __all__ = ["ShardConfig", "build_service", "shard_main"]

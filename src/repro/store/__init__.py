@@ -17,9 +17,9 @@ read; entries left by older versions age out through ``gc``.)
 
 Activation is explicit: pass a :class:`Store` via
 ``SynthesisOptions.store`` / ``run_batch(store=...)`` /
-``SynthesisService(store=...)``, install one ambiently with
-:func:`use_store` / :func:`set_active_store`, or export
-``REPRO_STORE=/path/to/cache``. No store, no behaviour change.
+``SynthesisService(store=...)``, or export
+``REPRO_STORE=/path/to/cache`` to make one ambient. No store, no
+behaviour change.
 
 See ``docs/caching.md`` for the layout, key derivation and the gc
 runbook; ``repro cache stats|gc|verify`` manages a store from the
@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import os
 import threading
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.store.codec import (
     decode_result,
@@ -50,46 +49,20 @@ from repro.store.keys import (
 from repro.store.store import GC_PUT_INTERVAL, STORE_SCHEMA, Store, StoreError
 
 _LOCK = threading.Lock()
-_ACTIVE: Optional[Store] = None
 _ENV_STORE: Optional[Store] = None
 
 
 def active_store() -> Optional[Store]:
-    """The ambient store, if any.
-
-    An explicitly installed store (:func:`set_active_store` /
-    :func:`use_store`) wins; otherwise ``REPRO_STORE`` in the
-    environment names one (opened lazily, reused across calls).
-    """
+    """The ambient store, if any: the one ``REPRO_STORE`` in the
+    environment names (opened lazily, reused across calls)."""
     global _ENV_STORE
     with _LOCK:
-        if _ACTIVE is not None:
-            return _ACTIVE
         path = os.environ.get("REPRO_STORE")
         if not path:
             return None
         if _ENV_STORE is None or str(_ENV_STORE.root) != path:
             _ENV_STORE = Store(path)
         return _ENV_STORE
-
-
-def set_active_store(store: Optional[Store]) -> Optional[Store]:
-    """Install (or with None, remove) the process-wide ambient store."""
-    global _ACTIVE
-    with _LOCK:
-        previous = _ACTIVE
-        _ACTIVE = store
-    return previous
-
-
-@contextmanager
-def use_store(store: Optional[Store]) -> Iterator[Optional[Store]]:
-    """Temporarily install ``store`` as the ambient store."""
-    previous = set_active_store(store)
-    try:
-        yield store
-    finally:
-        set_active_store(previous)
 
 
 __all__ = [
@@ -103,8 +76,6 @@ __all__ = [
     "fault_salt",
     "result_key",
     "active_store",
-    "set_active_store",
-    "use_store",
     "encodable",
     "encode_result",
     "decode_result",

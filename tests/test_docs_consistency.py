@@ -5,8 +5,9 @@ mentioned in DESIGN.md/README.md must import, every benchmark file the
 experiment index points at must exist, the repository layout the
 README promises must be on disk, every backend name a doc passes
 must exist, every keyword a doc passes to ``run_batch`` must be one
-of its parameters, and every ``REPRO_*`` environment variable a doc
-names must be read by the code.
+of its parameters, every ``from repro… import …`` a doc shows must
+run, and every ``REPRO_*`` environment variable a doc names must be
+read by the code.
 """
 
 import importlib
@@ -143,6 +144,24 @@ def test_docs_pass_run_batch_only_real_parameters():
     assert found
     unknown = [(doc, name) for doc, name in found if name not in params]
     assert not unknown, f"docs pass unknown run_batch keywords: {unknown}"
+
+
+def test_docs_show_only_imports_that_work():
+    """Every ``from repro… import …`` statement the docs show runs,
+    parenthesised multi-line ones included, so a deleted name cannot
+    linger in an example."""
+    found = [(path.name, statement) for path in _doc_paths()
+             for statement in re.findall(
+                 r"^[ \t]*(from repro[\w.]* import (?:\([^)]*\)|.*))$",
+                 path.read_text(encoding="utf-8"), flags=re.MULTILINE)]
+    assert found
+    broken = []
+    for doc, statement in found:
+        try:
+            exec(statement, {})
+        except ImportError as exc:
+            broken.append((doc, statement, str(exc)))
+    assert not broken, f"docs show imports that fail: {broken}"
 
 
 def test_docs_name_only_environment_variables_the_code_reads():

@@ -24,9 +24,7 @@ from repro.store import (
     digest,
     load_result,
     result_key,
-    set_active_store,
     store_result,
-    use_store,
 )
 
 
@@ -427,36 +425,12 @@ def test_store_pickles_by_configuration(tmp_path):
 # ----------------------------------------------------------------------
 # ambient store
 # ----------------------------------------------------------------------
-def test_use_store_installs_and_restores(tmp_path):
-    assert active_store() is None
-    store = Store(tmp_path)
-    with use_store(store):
-        assert active_store() is store
-        with use_store(None):
-            assert active_store() is None
-        assert active_store() is store
-    assert active_store() is None
-
-
-def test_set_active_store_returns_previous(tmp_path):
-    store = Store(tmp_path)
-    assert set_active_store(store) is None
-    try:
-        assert active_store() is store
-    finally:
-        assert set_active_store(None) is store
-
-
 def test_repro_store_env_opens_a_store(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_STORE", str(tmp_path / "envstore"))
     store = active_store()
     assert store is not None
     assert str(store.root) == str(tmp_path / "envstore")
     assert active_store() is store  # cached across calls
-    # an explicitly installed store wins over the environment
-    other = Store(tmp_path / "other")
-    with use_store(other):
-        assert active_store() is other
 
 
 # ----------------------------------------------------------------------
@@ -526,12 +500,11 @@ def test_only_proven_optimal_results_are_cached(tmp_path):
     assert store_result(store, some_key(), fake) is False
 
 
-def test_ambient_store_reaches_synthesize(tmp_path):
+def test_ambient_store_reaches_synthesize(tmp_path, monkeypatch):
     spec = small_spec()
-    store = Store(tmp_path)
-    with use_store(store):
-        synthesize(spec, SynthesisOptions(time_limit=60))
-        warm = synthesize(spec, SynthesisOptions(time_limit=60))
+    monkeypatch.setenv("REPRO_STORE", str(tmp_path))
+    synthesize(spec, SynthesisOptions(time_limit=60))
+    warm = synthesize(spec, SynthesisOptions(time_limit=60))
     assert warm.counters.get("store_hit") == 1
 
 

@@ -1,12 +1,14 @@
 """Tests for the distributed telemetry plane (`repro.obs.telemetry`).
 
-Covers the wire contract (framed batches, torn-batch rejection, the
-`foreign` grandchild relay), the deterministic merge (byte-identical
-output for any batch grouping or arrival order), the flight recorder,
-Prometheus exposition + its validator, metric instance namespacing,
-and the end-to-end platform path: two shard processes plus the
-coordinator yield one merged correlation-carrying `repro-obs-v1`
-stream served over ``GET /metrics`` and ``GET /jobs/<id>/trace``.
+Covers the wire contract (framed batches that hand records over,
+torn-batch rejection, the `foreign` grandchild relay), the bounded
+store an absorbing tracer keeps, the deterministic merge
+(byte-identical output for any batch grouping or arrival order), job
+traces out of that store, Prometheus exposition + its validator,
+metric instance namespacing, and the end-to-end platform path: two
+shard processes plus the coordinator yield one merged
+correlation-carrying `repro-obs-v1` stream served over
+``GET /metrics`` and ``GET /jobs/<id>/trace``.
 """
 
 import json
@@ -19,11 +21,12 @@ import pytest
 from repro.cases import generate_case
 from repro.core import BindingPolicy
 from repro.io import spec_to_dict
-from repro.obs import validate_trace_records
+from repro.obs import (read_trace_jsonl, validate_trace_records,
+                       write_trace_jsonl)
 from repro.obs.telemetry import (
-    FlightRecorder,
     TelemetryShipper,
     aggregate_metrics,
+    correlated_trace,
     correlation_id,
     correlation_job,
     merge_streams,
@@ -97,6 +100,26 @@ def test_shipper_bounds_batch_size():
     assert first["n"] == 3 and second["n"] == 1
 
 
+def test_shipper_hands_over_what_it_ships():
+    """A child that ships every round keeps none of what it shipped, so
+    its cap never fills and no event is lost however long it runs."""
+    tracer = Tracer("shard-0", max_events=100)
+    shipper = TelemetryShipper(tracer, source="shard-0")
+    shipped = []
+    for job in range(60):
+        with tracer.span("synthesize"):
+            pass
+        tracer.event("job_done", job=job)
+        batch = shipper.collect()
+        shipped += batch["records"]
+        assert len(tracer) == 0
+        assert tracer.records(with_metrics=False) == []
+    done = [r["attrs"]["job"] for r in shipped
+            if r["type"] == "event" and r["name"] == "job_done"]
+    assert done == list(range(60))
+    assert tracer.dropped == 0 and batch["dropped"] == 0
+
+
 def test_shipper_relays_foreign_batches():
     """Grandchild batches absorbed by a mid-tier tracer ride along."""
     worker = Tracer("bb-worker-0")
@@ -165,6 +188,46 @@ def test_absorbed_metrics_aggregate_across_respawn_monotonically():
     after = aggregated(top)["jobs"]["value"]
     assert before == 7 and after == 8  # 7 + 1, not reset to 1
     assert len(top.streams()) == 2
+
+
+def ship_job(shipper, job):
+    """One job's span and event on the shipper's tracer, shipped."""
+    tracer = shipper.tracer
+    with tracer.correlate(correlation_id(job, 1)):
+        with tracer.span("synthesize"):
+            tracer.event("job_done")
+    return shipper.collect()
+
+
+def test_absorbed_store_is_bounded_and_counts_evictions(tmp_path):
+    """Two streams share one store of at most ``max_events`` records;
+    the oldest go first, each counted in its own stream's drops."""
+    top = Tracer("coordinator", max_events=20)
+    shippers = [TelemetryShipper(Tracer(f"shard-{i}")) for i in (0, 1)]
+    sent = 0
+    for job in range(12):
+        batch = ship_job(shippers[job % 2], f"job-{job}")
+        sent += batch["n"]
+        assert top.absorb_batch(batch)
+    assert sent == 36  # three records per job
+    records = top.records(with_metrics=False)
+    validate_trace_records(records)
+    held = [r for r in records
+            if r["src"] != "coordinator" and not r.get("truncated")]
+    assert len(held) <= 20
+    streams = top.streams()
+    assert sum(s["dropped"] for s in streams.values()) == 36 - 20
+    # the 16 oldest: jobs 0-4 whole, then job 5's span begin
+    assert {name: s["dropped"] for (name, _), s in streams.items()} \
+        == {"shard-0": 9, "shard-1": 7}
+    newest = correlated_trace(top, "job-11")
+    assert [r["type"] for r in newest] \
+        == ["span_begin", "event", "span_end"]
+    assert correlated_trace(top, "job-0") is None
+    assert not [r for r in records if r.get("corr") == "job-0#1"]
+    # a trace written from the tracer says what it is missing
+    path = write_trace_jsonl(top, tmp_path / "trace.jsonl")
+    assert read_trace_jsonl(path).header["dropped"] == 36 - 20
 
 
 # ----------------------------------------------------------------------
@@ -240,43 +303,35 @@ def test_correlation_id_round_trip():
     assert correlation_job(corr) == "abc123-def456"
 
 
-def test_flight_recorder_retains_and_validates_per_job():
-    recorder = FlightRecorder(max_jobs=2, max_records=8)
+def test_job_trace_retains_and_validates_per_job():
+    store = Tracer("coordinator", max_events=6)  # room for two jobs
+    shipper = TelemetryShipper(Tracer("shard-0"))
     for job in ("job-a", "job-b"):
-        tracer = Tracer("shard-0")
-        with tracer.correlate(correlation_id(job, 1)):
-            with tracer.span("synthesize"):
-                tracer.event("solver_done")
-        recorder.observe(dict(r, src="shard-0", pid=1)
-                         for r in tracer.records(with_metrics=False))
+        store.absorb_batch(ship_job(shipper, job))
     # lookup by bare job id or by full correlation id
     for key in ("job-a", correlation_id("job-a", 1)):
-        trace = recorder.trace(key)
+        trace = correlated_trace(store, key)
         validate_trace_records(trace)
         assert all(r["corr"] == "job-a#1" for r in trace)
-    assert recorder.trace("job-nope") is None
-    # LRU: a third job evicts the oldest
-    tracer = Tracer("shard-0")
-    with tracer.correlate(correlation_id("job-c", 1)):
-        tracer.event("solver_done")
-    recorder.observe(dict(r, src="shard-0", pid=1)
-                     for r in tracer.records(with_metrics=False))
-    assert recorder.trace("job-a") is None
-    assert recorder.trace("job-c") is not None
+    assert correlated_trace(store, "job-nope") is None
+    # a third job evicts the oldest
+    store.absorb_batch(ship_job(shipper, "job-c"))
+    assert correlated_trace(store, "job-a") is None
+    assert correlated_trace(store, "job-b") is not None
+    assert correlated_trace(store, "job-c") is not None
 
 
-def test_flight_recorder_ring_bound_survives_validation():
-    """A ring that wrapped (lost span begins) still yields a valid trace."""
-    recorder = FlightRecorder(max_jobs=1, max_records=4)
+def test_job_trace_survives_evicted_span_begins():
+    """A store that evicted span begins still yields a valid trace."""
+    store = Tracer("coordinator", max_events=5)
     tracer = Tracer("shard-0")
     with tracer.correlate("job#1"):
         for index in range(6):
             with tracer.span("step", i=index):
                 pass
-    recorder.observe(dict(r, src="shard-0", pid=1)
-                     for r in tracer.records(with_metrics=False))
-    trace = recorder.trace("job")
-    assert len(trace) <= 4 + 1  # ring bound (+1 synthesized close max)
+    store.absorb_batch(TelemetryShipper(tracer).collect())
+    trace = correlated_trace(store, "job")
+    assert len(trace) <= 5 + 1  # store bound (+1 synthesized close max)
     validate_trace_records(trace)
 
 
@@ -311,6 +366,31 @@ def test_store_counters_are_instance_namespaced(tmp_path):
     keys = [k for k in snapshot if k.startswith("store_puts")]
     assert sorted(keys) == ["store_puts[alpha]", "store_puts[beta]"]
     assert all(snapshot[k]["value"] == 1 for k in keys)
+
+
+def test_metrics_fold_incarnations_into_one_series(tmp_path):
+    """Two incarnations of shard-0 are one source on ``/metrics``, and
+    a store every shard counts into is one series."""
+    tracer = Tracer("coordinator")
+    for source, pid, jobs in (("shard-0", 100, 3), ("shard-0", 200, 1),
+                              ("shard-1", 300, 2)):
+        child = Tracer(source)
+        child.metrics.counter("service_jobs_done", instance=source).inc(jobs)
+        child.metrics.gauge("service_in_flight", instance=source).set(pid)
+        child.metrics.counter("nodes").inc(jobs)
+        child.metrics.counter("store_puts", instance="store").inc(jobs)
+        batch = TelemetryShipper(child).collect()
+        batch["pid"] = pid  # simulate distinct incarnations
+        tracer.absorb_batch(batch)
+    coord = ShardCoordinator(str(tmp_path / "platform"), shards=2)
+    coord.tracer = tracer
+    text = render_prometheus(series_from_sources(coord.metrics_snapshot()))
+    assert validate_prometheus_text(text) == 7  # 3 per shard + 1 store
+    # counters sum across incarnations, gauges take the newest
+    assert 'service_jobs_done{instance="shard-0"} 4' in text
+    assert 'nodes{instance="shard-0"} 4' in text
+    assert 'service_in_flight{instance="shard-0"} 200' in text
+    assert 'store_puts{instance="store"} 6' in text
 
 
 # ----------------------------------------------------------------------
@@ -349,6 +429,7 @@ def test_validate_prometheus_text_rejects_malformed():
             "# TYPE up bogus\nup 1\n",  # bad TYPE
             "# TYPE up gauge\n# TYPE up gauge\nup 1\n",  # duplicate TYPE
             '# TYPE up gauge\nup{bad label="x"} 1\n',  # label syntax
+            '# TYPE up gauge\nup{a="1",b="2"} 1\nup{b="2",a="1"} 2\n',  # twice
     ):
         with pytest.raises(ValueError):
             validate_prometheus_text(bad)
@@ -380,7 +461,7 @@ def test_platform_merged_telemetry_end_to_end(tmp_path):
             assert 'instance="shard-0"' in text
             assert 'instance="shard-1"' in text
 
-            # /jobs/<id>/trace: retained flight trace, schema-valid,
+            # /jobs/<id>/trace: retained job trace, schema-valid,
             # correlation intact
             body = fetch_trace(server.url, jobs[0]["id"])
             assert body["job"] == jobs[0]["id"]
