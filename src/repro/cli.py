@@ -201,10 +201,10 @@ def cmd_repair(args: argparse.Namespace) -> int:
     """Synthesize, strike the given faults mid-campaign, self-heal.
 
     The full closed loop on one chip: healthy synthesis, a simulated
-    campaign under the fault plan (detection), then incremental
-    re-synthesis on the masked switch seeded from the surviving paths.
-    Exit 0 when the repair re-solves exactly, 3 when it fell down the
-    degradation ladder to the greedy rung, 1 when it failed outright.
+    campaign under the fault plan (detection), then synthesis of the
+    spec on the masked switch. Exit 0 when the repair re-solves
+    exactly, 3 when it fell down the degradation ladder to the greedy
+    rung, 1 when it has no solution or failed outright.
     """
     from repro.repair import detect_faults, parse_faults, repair
 
@@ -244,7 +244,9 @@ def cmd_repair(args: argparse.Namespace) -> int:
                  case=f"{spec.name} (repaired)")]
     print(format_table(rows))
     if not outcome.solved:
-        print(f"repair failed: {outcome.repaired.error}")
+        error = outcome.repaired.error
+        print(f"repair failed: {outcome.status.value}"
+              + (f" ({error})" if error else ""))
         return 1
     for fid, path in sorted(outcome.repaired.flow_paths.items()):
         marker = "=" if fid in outcome.surviving_flows else "~"

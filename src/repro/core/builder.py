@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import SpecError
 from repro.opt import Model, Var, VarType, quicksum
 from repro.opt.cuts import conflict_cliques
 from repro.core.spec import (
@@ -153,11 +152,9 @@ class SynthesisModelBuilder:
                 assert spec.fixed_binding is not None
                 src_pin = spec.fixed_binding[f.source]
                 dst_pin = spec.fixed_binding[f.target]
+                # A mask can strand the pins: no path leaves the flow's
+                # one-path row without columns, so the model is infeasible.
                 paths = self.catalog.between(src_pin, dst_pin)
-                if not paths:
-                    raise SpecError(
-                        f"{f}: no candidate path between pins {src_pin} and {dst_pin}"
-                    )
             else:
                 paths = list(self.catalog)
             allowed[f.id] = paths

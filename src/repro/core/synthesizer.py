@@ -177,40 +177,6 @@ def _context_key(spec: SwitchSpec, options: SynthesisOptions) -> Tuple:
     )
 
 
-def seed_context(spec: SwitchSpec, options: Optional[SynthesisOptions],
-                 context: SolveContext, result: SynthesisResult) -> bool:
-    """Pre-load ``context`` with an incumbent derived from ``result``.
-
-    Builds (or reuses) the model for ``spec`` through the context and
-    maps ``result``'s binding/routing/schedule onto its variables via
-    :func:`repro.core.heuristic.model_assignment`. A later
-    :func:`synthesize` call with the same spec/options/context then
-    starts from this incumbent instead of the greedy heuristic — the
-    seam the repair engine uses to carry a prior solution's surviving
-    paths into the degraded re-solve. Returns False (and seeds nothing)
-    when the result is not representable in the model, e.g. a routed
-    path missing from the catalog. Warm starts are re-validated inside
-    the solver, so a seed can speed the search up but never change the
-    optimum.
-    """
-    from repro.core.heuristic import model_assignment
-
-    options = options or SynthesisOptions()
-    key = _context_key(spec, options)
-
-    def _build() -> BuiltModel:
-        catalog = build_catalog(spec, options)
-        return SynthesisModelBuilder(spec, catalog).build()
-
-    built = context.built_model(key, _build)
-    assignment = model_assignment(built, result)
-    if assignment is None:
-        return False
-    context.note_solution(
-        key, {v.name: float(val) for v, val in assignment.items()})
-    return True
-
-
 def synthesize(spec: SwitchSpec,
                options: Optional[SynthesisOptions] = None,
                context: Optional[SolveContext] = None) -> SynthesisResult:

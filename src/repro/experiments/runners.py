@@ -31,7 +31,6 @@ from repro.cases import (
 from repro.control import control_strategy_rows
 from repro.core import BindingPolicy, SynthesisOptions, synthesize
 from repro.experiments.report import ExperimentReport
-from repro.opt.incremental import SolveContext
 from repro.render import render_result, save_svg
 from repro.sim import estimate_execution_time, simulate
 from repro.switches import CrossbarSwitch, GRUSwitch, SpineSwitch
@@ -54,15 +53,10 @@ def run_table_4_1(time_limit: float = 60,
                   backend: Optional[str] = None) -> ExperimentReport:
     """Table 4.1 — contamination-avoidance cases under all policies."""
     report = ExperimentReport("table_4_1", "Table 4.1 — contamination avoidance")
-    # One context per report: each case's three policy variants differ
-    # structurally, but repeated runs and policy-internal re-solves
-    # share compiled models and warm starts through it.
-    context = SolveContext()
     for factory in (chip_sw1, nucleic_acid, mrna_isolation):
         for policy in POLICIES:
             spec = factory(policy)
-            result = synthesize(spec, _options(time_limit, backend),
-                                context=context)
+            result = synthesize(spec, _options(time_limit, backend))
             report.rows.append(result.table_row())
             if result.status.solved:
                 check = analyze_contamination(
@@ -107,14 +101,12 @@ def run_table_4_3(time_limit: float = 60, include_heavy: bool = False,
                   backend: Optional[str] = None) -> ExperimentReport:
     """Table 4.3 — binding-policy comparison."""
     report = ExperimentReport("table_4_3", "Table 4.3 — binding policies")
-    context = SolveContext()
     for factory in (kinase_sw1, kinase_sw2, chip_sw1, chip_sw2):
         for policy in POLICIES:
             if factory is chip_sw2 and policy is not BindingPolicy.FIXED \
                     and not include_heavy:
                 continue
-            result = synthesize(factory(policy), _options(time_limit, backend),
-                                context=context)
+            result = synthesize(factory(policy), _options(time_limit, backend))
             report.rows.append(result.table_row())
     report.note("paper shape: fixed fastest & longest L; clockwise/unfixed "
                 "equal optimal L; runtime grows with #modules")
@@ -206,13 +198,11 @@ def run_dynamic_validation(time_limit: float = 60,
                            backend: Optional[str] = None) -> ExperimentReport:
     """Beyond the paper — execute every solved case in the simulator."""
     report = ExperimentReport("dynamic", "dynamic validation")
-    context = SolveContext()
     for factory, policy in ((chip_sw1, BindingPolicy.FIXED),
                             (nucleic_acid, BindingPolicy.UNFIXED),
                             (mrna_isolation, BindingPolicy.UNFIXED)):
         spec = factory(policy)
-        result = synthesize(spec, _options(time_limit, backend),
-                            context=context)
+        result = synthesize(spec, _options(time_limit, backend))
         if not result.status.solved:
             report.add_row(case=spec.name, outcome=result.status.value)
             continue

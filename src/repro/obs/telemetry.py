@@ -115,6 +115,7 @@ class TelemetryShipper:
             del tracer._records[:len(records)]
             streams, tracer._streams = tracer._streams, {}
             absorbed, tracer._absorbed = tracer._absorbed, deque()
+            tracer._by_job = {}
             tracer.dropped += sum(s["evicted"] for s in streams.values())
             dropped = tracer.dropped
             clock = tracer.clock
@@ -338,22 +339,19 @@ def correlated_trace(tracer: Tracer,
     ``validate_trace_records`` on its own even where the store's bound
     cut a span in two. None when the store holds nothing of the job.
     """
+    job = correlation_job(key)
     with tracer._lock:
-        absorbed = list(tracer._absorbed)
-    # One pass keeps every record whose correlation ID starts with the
-    # key; the exact ID, else the job's newest submission, wins.
-    found: Dict[str, Dict[Tuple[str, int], List[Dict[str, Any]]]] = {}
-    for stream, record in absorbed:
-        corr = record.get("corr")
-        if corr and corr.startswith(key):
-            found.setdefault(corr, {}).setdefault(stream, []).append(record)
-    if key not in found:
-        jobs = [corr for corr in found if correlation_job(corr) == key]
-        if not jobs:
-            return None
-        key = jobs[-1]
+        corrs = tracer._by_job.get(job, {})
+        if key not in corrs and key == job:
+            key = next(reversed(corrs), key)
+        entries = list(corrs.get(key, ()))
+    if not entries:
+        return None
+    streams: Dict[Tuple[str, int], List[Dict[str, Any]]] = {}
+    for stream, record in entries:
+        streams.setdefault(stream, []).append(record)
     return merge_streams(
-        [(name, pid, records) for (name, pid), records in found[key].items()])
+        [(name, pid, records) for (name, pid), records in streams.items()])
 
 
 # ---------------------------------------------------------------------------

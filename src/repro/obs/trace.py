@@ -91,6 +91,9 @@ KNOWN_EVENTS = (
 _seq_counter = itertools.count()
 _ids = itertools.count(1)
 
+#: One absorbed record and the ``(source, pid)`` stream it came from.
+_Absorbed = Tuple[Tuple[str, int], Dict[str, Any]]
+
 
 class Tracer:
     """A bounded in-memory recorder for spans, events and metrics."""
@@ -119,7 +122,11 @@ class Tracer:
         self._streams: Dict[Tuple[str, int], Dict[str, Any]] = {}
         # Every stream's absorbed records in arrival order, as
         # (stream, record) pairs, at most ``max_events`` of them.
-        self._absorbed: Deque[Tuple[Tuple[str, int], Dict[str, Any]]] = deque()
+        self._absorbed: Deque[_Absorbed] = deque()
+        # The correlated pairs of that store again, by job id and then
+        # correlation ID (each in order of first arrival), so one job's
+        # trace is a lookup rather than a scan of the store.
+        self._by_job: Dict[str, Dict[str, Deque[_Absorbed]]] = {}
         # Spans begun but not yet ended (any thread); lets a snapshot
         # taken mid-run close them synthetically so every exported
         # stream is balanced (another thread may still be inside its
@@ -196,7 +203,10 @@ class Tracer:
         The batch's records join one store shared by every absorbed
         stream and bounded by :attr:`max_events`: past the bound the
         oldest records go first, each counted in its own stream's
-        ``dropped``. :meth:`records` merges the store in per
+        ``dropped``. The store's correlated records are also kept by
+        correlation ID, so
+        :func:`~repro.obs.telemetry.correlated_trace` reads one job's
+        records without a scan. :meth:`records` merges the store in per
         ``(source, pid)`` stream (via :mod:`repro.obs.telemetry`). The
         batch's metric snapshot and drop count are cumulative, so they
         replace the stream's previous ones, and :meth:`streams` always
@@ -207,7 +217,7 @@ class Tracer:
 
         Returns False when the batch is torn.
         """
-        from repro.obs.telemetry import validate_batch
+        from repro.obs.telemetry import correlation_job, validate_batch
         if not validate_batch(batch):
             with self._lock:
                 self.rejected += 1
@@ -219,9 +229,27 @@ class Tracer:
             stream["dropped"] = batch.get("dropped", 0)
             stream["clock"] = int(batch.get("clock", 0))
             self.clock = max(self.clock, stream["clock"]) + 1
-            self._absorbed.extend((key, record) for record in batch["records"])
+            for record in batch["records"]:
+                entry = (key, record)
+                self._absorbed.append(entry)
+                corr = record.get("corr")
+                if corr:
+                    self._by_job.setdefault(correlation_job(corr), {}) \
+                        .setdefault(corr, deque()).append(entry)
             while len(self._absorbed) > self.max_events:
-                self._streams[self._absorbed.popleft()[0]]["evicted"] += 1
+                stream_key, record = self._absorbed.popleft()
+                self._streams[stream_key]["evicted"] += 1
+                corr = record.get("corr")
+                if corr:
+                    # The store evicts oldest first, so the record is
+                    # also the oldest of its correlation ID.
+                    job = correlation_job(corr)
+                    corrs = self._by_job[job]
+                    corrs[corr].popleft()
+                    if not corrs[corr]:
+                        del corrs[corr]
+                        if not corrs:
+                            del self._by_job[job]
         for sub in batch.get("foreign") or ():
             self.absorb_batch(sub)
         return True

@@ -19,12 +19,11 @@ cold every time:
   that binding the same class falls back to a cold
   :func:`scipy.optimize.linprog` per solve (:data:`LP_ENGINE`).
 * :class:`SolveContext` — a cache threaded through
-  :func:`repro.core.synthesizer.synthesize` by the experiment runners
-  and sensitivity sweeps. Binding-policy comparisons and α/β sweeps
-  solve near-identical models; the context keeps the built model (and
-  with it the compiled arrays and cut pool, which are cached *on* the
-  model) and remembers each optimum so the next structurally-identical
-  solve can start from it.
+  :func:`repro.core.synthesizer.synthesize` by α/β weight sweeps, which
+  solve one model under many objectives; the context keeps the built
+  model (and with it the compiled arrays and cut pool, which are cached
+  *on* the model) and remembers each optimum so the next
+  structurally-identical solve can start from it.
 
 Nothing here changes what is solved — warm starts are validated before
 use, hot starts change only where simplex begins, and an exact search
@@ -373,10 +372,11 @@ def _load_highs(compiled):
 class SolveContext:
     """Shared cache for families of related synthesis solves.
 
-    The experiment runners solve the *same* case under three binding
-    policies and the sensitivity module re-solves one case under many
-    α/β weightings. A context keyed on the structural part of the spec
-    (everything except the objective weights) lets those runs reuse:
+    The sensitivity module's
+    :func:`~repro.analysis.sensitivity.weight_sweep` re-solves one case
+    under many α/β weightings. A context keyed on the structural part of
+    the spec (everything except the objective weights) lets those runs
+    reuse:
 
     * the built model — and through it the compiled sparse arrays and
       the clique-cut pool, both cached on the model objects;

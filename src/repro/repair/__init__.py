@@ -6,11 +6,11 @@ The closed loop over degraded hardware:
    under a fault plan in the tick engine and classify what the chip
    would exhibit;
 2. :func:`~repro.repair.engine.repair` — mask the faults out of the
-   switch structure and re-synthesize incrementally from the prior
-   result's surviving paths;
+   switch structure and synthesize the masked spec, reporting which
+   flows kept their prior path;
 3. the service layer (``SynthesisService.submit_repair`` /
-   ``ShardCoordinator.submit_repair``) — the same loop as journaled,
-   exactly-once repair jobs correlated to the original job.
+   ``ShardCoordinator.submit_repair``) — the same synthesis as
+   journaled, exactly-once repair jobs correlated to the original job.
 """
 
 from repro.repair.detect import FaultDetection, detect_faults

@@ -518,25 +518,18 @@ class ShardCoordinator:
         :meth:`submit` — so the repair job hashes to its *own* id and
         lands on whichever shard the crc32 ring assigns it, keeping the
         routing invariant (resubmissions and journal replays find the
-        same shard). ``faults`` is a list of
+        same shard). ``faults`` is anything
+        :func:`~repro.repair.engine.mask_spec` takes:
         :class:`~repro.sim.faults.ValveFault`s, ``(a, b, kind)``
         triples, or a :class:`~repro.switches.health.HealthMask`. The
         repair inherits the original's correlation ID, tenant and
         priority.
         """
         from repro.io.spec_json import spec_from_dict, switch_to_dict
-        from repro.repair.engine import as_mask, mask_spec
-        from repro.sim.faults import ValveFault
-        from repro.switches.health import HealthMask
+        from repro.repair.engine import mask_spec
 
-        if isinstance(faults, HealthMask):
-            mask = faults
-        elif faults and isinstance(faults[0], ValveFault):
-            mask = as_mask(faults)
-        else:
-            mask = HealthMask.from_triples(faults)
         original = self.job(job_id)
-        spec = mask_spec(spec_from_dict(original["spec"]), mask)
+        spec = mask_spec(spec_from_dict(original["spec"]), faults)
         spec_dict = dict(original["spec"])
         spec_dict["switch"] = switch_to_dict(spec.switch)
         return self.submit(

@@ -331,7 +331,8 @@ class SynthesisService:
         """Turn observed faults on a completed job into a repair job.
 
         Builds the degraded spec from the original job's journaled spec
-        plus ``faults`` (:class:`~repro.sim.faults.ValveFault`s or a
+        plus ``faults`` (:class:`~repro.sim.faults.ValveFault`s,
+        ``(a, b, kind)`` triples or a
         :class:`~repro.switches.health.HealthMask`) and submits it under
         the original job's correlation ID, so the repair's whole
         lifecycle lands in the original campaign's job trace. The

@@ -55,6 +55,16 @@ def test_synthesize_infeasible_case_exit_code(capsys):
     assert "no solution" in out
 
 
+def test_repair_that_strands_a_bound_pin_prints_its_status(capsys):
+    # B1 carries module i_11 under chip_sw1's fixed binding.
+    code = main(["repair", "chip_sw1", "--policy", "fixed",
+                 "--faults", "B1-BL:closed", "--time-limit", "60"])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "repair failed: no solution" in out
+    assert "None" not in out
+
+
 def test_unknown_case_errors(capsys):
     code = main(["synthesize", "not_a_case"])
     assert code == 2

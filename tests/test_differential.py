@@ -18,6 +18,13 @@ leaves them out) add a ``parallel_bb:4`` column. They are a fixed
 sample of ``suite_90`` whose columns all prove their verdict well
 within the 120 s limit of each solve, and 3-flow 8-pin specs under
 clockwise and unfixed binding, which the enumerator solves too.
+
+The single-fault repair differential strikes each of the 8-pin
+crossbar's 20 valves, stuck open and then stuck closed, under a solved
+routing. :func:`repro.repair.repair` and a repair job of
+``SynthesisService`` must both match the enumerator on the masked
+spec, in verdict and objective. The fixed-binding input is tier-1; the
+clockwise and unfixed inputs are ``slow``-marked.
 """
 
 from __future__ import annotations
@@ -34,6 +41,9 @@ from repro.core.solution import SynthesisStatus
 from repro.core.verify import verify_result
 from repro.errors import SpecError
 from repro.opt import incremental
+from repro.repair import mask_spec, repair
+from repro.service import SynthesisService
+from repro.sim.faults import FaultKind, ValveFault
 from repro.testing import MAX_CANDIDATES, brute_force, oracle
 
 #: Artificial inputs: name -> (seed, conflict pairs, policy). The seeds
@@ -67,6 +77,14 @@ SLOW_SEARCH = {
     "unfixed3_1_1": (1, 1, BindingPolicy.UNFIXED),
     "unfixed3_2_0": (2, 0, BindingPolicy.UNFIXED),
     "unfixed3_3_1": (3, 1, BindingPolicy.UNFIXED),
+}
+
+#: Single-fault repair inputs: name -> (seed, policy) of an 8-pin
+#: 2-flow spec with one conflict pair.
+REPAIR_CASES = {"repair_fixed_0": (0, BindingPolicy.FIXED)}
+SLOW_REPAIR_CASES = {
+    "repair_cw_2": (2, BindingPolicy.CLOCKWISE),
+    "repair_unfixed_1": (1, BindingPolicy.UNFIXED),
 }
 
 #: Inputs with more than MAX_CANDIDATES candidates to enumerate.
@@ -156,6 +174,56 @@ def test_backends_and_engines_agree(name, monkeypatch):
 def test_backends_and_engines_agree_on_slow_inputs(name, monkeypatch):
     _check_columns_agree(name, monkeypatch,
                          ("parallel_bb:1", "parallel_bb:2", "parallel_bb:4"))
+
+
+def _check_single_fault_repairs(name) -> None:
+    """Every single stuck-open and stuck-closed valve: the library
+    repair and a service repair job match the enumerator."""
+    seed, policy = {**REPAIR_CASES, **SLOW_REPAIR_CASES}[name]
+    spec = generate_case(seed, switch_size=8, n_flows=2, n_inlets=2,
+                         n_conflicts=1, binding=policy, name=f"diff_{name}")
+    options = SynthesisOptions(time_limit=120.0, mip_gap=1e-9)
+    prior = synthesize(spec, options)
+    assert prior.status is SynthesisStatus.OPTIMAL
+    faults = [ValveFault(segment, kind)
+              for segment in sorted(spec.switch.segments)
+              for kind in (FaultKind.STUCK_OPEN, FaultKind.STUCK_CLOSED)]
+    assert len(faults) == 40
+
+    expected = {}
+    for fault in faults:
+        reference = brute_force(mask_spec(spec, [fault]))
+        outcome = repair(prior, [fault], options)
+        assert outcome.status is reference.status, fault
+        if reference.status is SynthesisStatus.OPTIMAL:
+            assert outcome.repaired.objective == pytest.approx(
+                reference.objective, rel=1e-6), fault
+            verify_result(outcome.repaired)
+        expected[fault] = reference
+
+    with SynthesisService(workers=1, options=options) as svc:
+        original = svc.submit(spec)
+        assert svc.wait(original, timeout=120).state == "done"
+        jobs = {fault: svc.submit_repair(original, [fault])
+                for fault in faults}
+        for fault, job_id in jobs.items():
+            row = svc.wait(job_id, timeout=120).row
+            reference = expected[fault]
+            assert row["status"] == reference.status.value, fault
+            if reference.status is SynthesisStatus.OPTIMAL:
+                assert row["objective"] == pytest.approx(
+                    reference.objective, rel=1e-6), fault
+
+
+@pytest.mark.parametrize("name", list(REPAIR_CASES))
+def test_single_fault_repairs_match_the_enumerator(name):
+    _check_single_fault_repairs(name)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", list(SLOW_REPAIR_CASES))
+def test_single_fault_repairs_match_the_enumerator_slow(name):
+    _check_single_fault_repairs(name)
 
 
 def test_brute_force_refuses_a_spec_over_the_cap():

@@ -1,9 +1,9 @@
 """Tests for fault-aware self-healing synthesis (repro.repair).
 
 Covers the compact fault syntax, fault detection through the tick
-engine, the repair loop (masking, warm seeding, re-synthesis,
-verification), the determinism contract across parallel_bb worker
-counts, and the degradation path when a repair cannot re-solve.
+engine, the repair loop (masking, re-synthesis, verification), the
+determinism contract across parallel_bb worker counts, and the verdict
+when a mask leaves a repair no solution.
 """
 
 import pytest
@@ -182,7 +182,10 @@ def test_repair_reports_infeasible_when_mask_strands_a_bound_pin():
     (stub,) = [k for k in switch.segments if pin in k]
     outcome = repair(prior, [stuck_closed(*stub)], OPTS)
     assert pin in outcome.reachability.dead_pins
-    assert not outcome.solved
+    # A stranded fixed-binding flow is a proven "no solution", as the
+    # enumerator says, never an error.
+    assert outcome.status is SynthesisStatus.NO_SOLUTION
+    assert outcome.repaired.error is None
 
 
 # ----------------------------------------------------------------------

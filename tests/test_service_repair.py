@@ -106,6 +106,30 @@ def test_submit_repair_validates_inputs(tmp_path):
             svc.submit_repair(job_id, [])
 
 
+def test_repair_that_strands_a_bound_pin_is_no_solution(tmp_path):
+    """A mask that strands a fixed-binding flow is a conclusive answer:
+    one attempt, every breaker stays closed, and the next job runs."""
+    spec = generate_case(seed=0, switch_size=8, n_flows=3, n_inlets=2,
+                         n_conflicts=1, binding=BindingPolicy.FIXED)
+    assert spec.fixed_binding["out3"] == "B1"
+    with SynthesisService(tmp_path / "j.jsonl", workers=1,
+                          options=OPTS) as svc:
+        original_id = svc.submit(spec)
+        assert svc.wait(original_id, timeout=120).state == "done"
+        repair_id = svc.submit_repair(original_id,
+                                      [stuck_closed("B1", "BL")])
+        record = svc.wait(repair_id, timeout=120)
+        assert (record.state, record.attempts) == ("done", 1)
+        assert record.row["status"] == "no solution"
+        assert record.error is None
+        breakers = svc.stats()["breakers"]
+        assert breakers and all(
+            b["state"] == "closed" and b["consecutive_failures"] == 0
+            for b in breakers.values())
+        next_id = svc.submit(small_spec(seed=1))
+        assert svc.wait(next_id, timeout=120).state == "done"
+
+
 def test_repair_job_replays_from_the_journal(tmp_path):
     """A journaled-but-unfinished repair job survives a service death
     and is executed exactly once by the next service."""

@@ -335,6 +335,70 @@ def test_job_trace_survives_evicted_span_begins():
     validate_trace_records(trace)
 
 
+def scanned_trace(tracer, key):
+    """``correlated_trace`` by a full scan of the absorbed store."""
+    found = {}
+    for stream, record in list(tracer._absorbed):
+        corr = record.get("corr")
+        if corr and corr.startswith(key):
+            found.setdefault(corr, {}).setdefault(stream, []).append(record)
+    if key not in found:
+        jobs = [corr for corr in found if correlation_job(corr) == key]
+        if not jobs:
+            return None
+        key = jobs[-1]
+    return merge_streams(
+        [(name, pid, records) for (name, pid), records in found[key].items()])
+
+
+def test_job_trace_lookup_matches_a_full_scan_past_the_bound():
+    """Past the store's bound, the correlation map answers every
+    retained job as a full scan of the store does, by correlation ID
+    and by job id, and an evicted job is None."""
+    top = Tracer("coordinator", max_events=60)
+    shippers = [TelemetryShipper(Tracer(f"shard-{i}")) for i in (0, 1)]
+    corrs = []
+    for job in range(30):
+        # jobs of two to six records; every fifth is submitted twice
+        for submission in (1, 2) if job % 5 == 0 else (1,):
+            corr = correlation_id(f"job-{job}", submission)
+            tracer = shippers[job % 2].tracer
+            with tracer.correlate(corr):
+                with tracer.span("synthesize"):
+                    for step in range(job % 5):
+                        tracer.event("progress", step=step)
+            tracer.event("heartbeat")  # uncorrelated
+            assert top.absorb_batch(shippers[job % 2].collect())
+            corrs.append(corr)
+    assert sum(s["dropped"] for s in top.streams().values()) > 0
+    keys = corrs + sorted({correlation_job(corr) for corr in corrs})
+    answered = evicted = 0
+    for key in keys:
+        expected = scanned_trace(top, key)
+        assert correlated_trace(top, key) == expected, key
+        if expected is None:
+            evicted += 1
+        else:
+            answered += 1
+            validate_trace_records(expected)
+    assert answered and evicted
+    assert correlated_trace(top, "job-0") is None
+    assert correlated_trace(top, "job-25")[0]["corr"] == "job-25#2"
+    assert correlated_trace(top, "job-nope") is None
+
+    # A relaying tracer hands the map over along with its store.
+    middle = Tracer("shard-0")
+    middle.absorb_batch(TelemetryShipper(Tracer("bb-worker")).collect())
+    worker = TelemetryShipper(Tracer("bb-worker"))
+    with worker.tracer.correlate("job-x#1"):
+        worker.tracer.event("incumbent")
+    middle.absorb_batch(worker.collect())
+    assert correlated_trace(middle, "job-x") is not None
+    top.absorb_batch(TelemetryShipper(middle).collect())
+    assert correlated_trace(middle, "job-x") is None
+    assert correlated_trace(top, "job-x") == scanned_trace(top, "job-x")
+
+
 # ----------------------------------------------------------------------
 # metric instance namespacing
 # ----------------------------------------------------------------------
