@@ -88,7 +88,6 @@ def weight_sweep(
     ),
     options: Optional[SynthesisOptions] = None,
     context: Optional[SolveContext] = None,
-    store=None,
 ) -> WeightSweep:
     """Solve the same case under several objective weightings.
 
@@ -97,19 +96,15 @@ def weight_sweep(
     point after the first reuses the built model and path catalog and
     starts from the previous optimum as warm incumbent.
 
-    ``store`` attaches a persistent :class:`repro.store.Store`: a
-    repeated sweep answers every point from disk (Tier A — the weights
-    are part of the case, so each weighting is its own entry).
+    ``options.store`` attaches a persistent :class:`repro.store.Store`:
+    a repeated sweep answers every point from disk (Tier A — the
+    weights are part of the case, so each weighting is its own entry).
     Outcomes are identical with or without a store; only ``runtime_s``
     changes.
     """
     if not weights:
         raise ReproError("need at least one weight pair")
     options = options or SynthesisOptions()
-    if store is not None:
-        from dataclasses import replace
-
-        options = replace(options, store=store)
     context = context or SolveContext()
     sweep = WeightSweep()
     for alpha, beta in weights:

@@ -394,11 +394,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Run the supervised job service over a write-ahead journal.
 
     Jobs come from the positional specs (if any) plus whatever pending
-    work the journal replays from a previous — possibly killed — run.
-    SIGINT/SIGTERM drain in-flight jobs under ``--drain-timeout``; the
-    rest stays journaled for the next ``repro serve``. With ``--http``
-    the same core runs sharded across processes behind an HTTP API —
-    see :func:`_serve_http`.
+    work the journal replays from a previous — possibly killed — run;
+    once the service stops, each positional spec's job prints its state
+    and row. SIGINT/SIGTERM drain in-flight jobs under
+    ``--drain-timeout``; the rest stays journaled for the next
+    ``repro serve`` (exit 3). With ``--http`` the same core runs sharded
+    across processes behind an HTTP API — see :func:`_serve_http`.
     """
     from repro.service import SynthesisService, install_signal_handlers
 
@@ -425,11 +426,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     def run() -> int:
         service.start()
-        for spec in specs:
-            service.submit(spec)
+        job_ids = dict.fromkeys(service.submit(spec) for spec in specs)
         health = service.health()
         print(f"serving: {health['outstanding']} job(s) outstanding, "
-              f"{args.workers} worker(s), journal {args.journal}")
+              f"{args.workers} worker(s), journal {args.journal}",
+              flush=True)
         outcome = service.run_until_complete()
         if outcome == "interrupted":
             print("shutdown requested; draining in-flight jobs "
@@ -438,6 +439,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
         # queued jobs stay journaled for the next `repro serve`.
         drain = "inflight" if outcome == "interrupted" else True
         summary = service.stop(drain=drain, deadline=args.drain_timeout)
+        rows = []
+        for job_id in job_ids:
+            record = service.job(job_id)
+            print(f"job {job_id}: {record.state} "
+                  f"(attempts {record.attempts})")
+            if record.row:
+                rows.append({k: v for k, v in record.row.items()
+                             if v not in (None, "")})
+        if rows:
+            print(format_table(rows))
         states = service.stats()["jobs"]
         print("service stopped: "
               + ", ".join(f"{k}={v}" for k, v in sorted(states.items())))
@@ -461,8 +472,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return run()
 
 
-def _submit_url(args: argparse.Namespace) -> int:
-    """``repro submit --url``: hand the job to a running platform."""
+def cmd_submit(args: argparse.Namespace) -> int:
+    """``repro submit --url``: hand one job to a running platform.
+
+    With ``--wait``, long-poll it and print its terminal row. Exit codes
+    mirror ``repro serve``: 0 done/degraded, 1 failed or refused, 3 when
+    ``--wait`` timed out with the job still journaled on the platform.
+    """
     from repro.io import spec_to_dict
     from repro.service import HTTPServiceError, submit_job, wait_job
     from repro.service.journal import TERMINAL_STATES
@@ -490,70 +506,6 @@ def _submit_url(args: argparse.Namespace) -> int:
               f"{args.timeout}s; it stays journaled on the platform")
         return 3
     return 0 if job["state"] in ("done", "degraded") else 1
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    """Journal one job; with ``--wait``, also drain the journal and
-    print the job's terminal row.
-
-    Exit codes mirror ``repro serve``: 0 done/degraded, 1 failed,
-    3 when the job is left journaled but not terminal (interrupted
-    while waiting, or ``--url --wait`` timed out).
-    """
-    from repro.io import spec_to_dict
-    from repro.service import (Journal, JobRecord, SynthesisService,
-                               install_signal_handlers, job_id_for,
-                               options_to_dict)
-
-    if (args.url is None) == (args.journal is None):
-        print("submit needs exactly one of --journal or --url")
-        return 2
-    if args.url is not None:
-        return _submit_url(args)
-    spec = _resolve_spec(args.case, args.policy)
-    options = _service_options(args)
-    job_id = job_id_for(spec, options)
-    if not args.wait:
-        with Journal(args.journal) as journal:
-            existing = journal.jobs.get(job_id)
-            if existing is not None:
-                print(f"job {job_id} already journaled "
-                      f"(state {existing.state})")
-            else:
-                journal.record_job(JobRecord(
-                    job_id, spec_to_dict(spec), options_to_dict(options)))
-                print(f"job {job_id} journaled as submitted; "
-                      f"run `repro serve --journal {args.journal}` to "
-                      f"execute it")
-        return 0
-    # Signal-aware wait: an interrupt drains in-flight work and leaves
-    # the rest journaled — exit 3 says "pending, resumable", the same
-    # contract as `repro serve` (see docs/service.md).
-    service = SynthesisService(args.journal, workers=args.workers,
-                               options=options, store=_cli_store(args))
-    install_signal_handlers(service)
-    service.start()
-    service.submit(spec, options, tenant=args.tenant,
-                   priority=args.priority)
-    print(f"waiting: job {job_id} (journal {args.journal})", flush=True)
-    outcome = service.run_until_complete()
-    if outcome == "interrupted":
-        print("interrupt: draining in-flight jobs; the rest stays "
-              f"journaled in {args.journal}")
-    service.stop(drain="inflight" if outcome == "interrupted" else True,
-                 deadline=args.drain_timeout)
-    record = service.job(job_id)
-    print(f"job {job_id}: {record.state} "
-          f"(attempts {record.attempts})")
-    if record.row:
-        print(format_table([{k: v for k, v in record.row.items()
-                             if v not in (None, "")}]))
-    if not record.terminal:
-        print(f"job {job_id} left journaled as {record.state}; re-run "
-              f"`repro submit {args.case} --journal {args.journal} --wait` "
-              f"or `repro serve --journal {args.journal}` to finish")
-        return 3
-    return 0 if record.state in ("done", "degraded") else 1
 
 
 def cmd_cache_stats(args: argparse.Namespace) -> int:
@@ -823,7 +775,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", nargs="*",
                    help="registry case names or JSON spec paths to submit "
                         "(on top of any pending work replayed from the "
-                        "journal)")
+                        "journal); without --http, each one's state and "
+                        "row print once the service stops")
     p.add_argument("--journal", required=True,
                    help="write-ahead journal path (JSONL); survives kills "
                         "and resumes on the next serve")
@@ -862,37 +815,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "submit",
-        help="journal one synthesis job (optionally wait for its result)")
+        help="submit one synthesis job to a running `repro serve --http` "
+             "platform (optionally wait for its result)")
     p.add_argument("case", help="registry case name or path to a JSON spec")
-    p.add_argument("--journal",
-                   help="write-ahead journal for local submission "
-                        "(exactly one of --journal/--url)")
-    p.add_argument("--url",
-                   help="base URL of a running `repro serve --http` "
-                        "platform to submit to instead of a local journal")
+    p.add_argument("--url", required=True,
+                   help="base URL of the running platform")
     p.add_argument("--policy", choices=[b.value for b in BindingPolicy])
     p.add_argument("--wait", action="store_true",
-                   help="start an in-process service on the journal, drain "
-                        "it (this job included) and print the result; "
-                        "with --url, long-poll the platform instead")
+                   help="long-poll the platform and print the job's "
+                        "terminal row")
     p.add_argument("--tenant", default=None,
                    help="tenant label for quotas and per-tenant metrics")
     p.add_argument("--priority", type=int, default=0,
                    help="queue priority (higher pops first; default 0)")
     p.add_argument("--timeout", type=float, default=None,
-                   help="with --url --wait: give up (exit 3) after this "
-                        "many seconds; default waits indefinitely")
-    p.add_argument("--drain-timeout", type=float, default=30.0,
-                   help="with --wait: seconds granted to the in-flight "
-                        "job on SIGINT/SIGTERM before exiting 3 with "
-                        "the journal still pending")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--time-limit", type=float, default=120.0)
-    p.add_argument("--on-error", default="degrade",
-                   choices=["raise", "capture", "degrade"])
-    p.add_argument("--store",
-                   help="persistent solve cache (used with --wait; "
-                        "also honors REPRO_STORE)")
+                   help="with --wait: give up (exit 3) after this many "
+                        "seconds; default waits indefinitely")
     p.set_defaults(func=cmd_submit)
 
     p = sub.add_parser("cache",

@@ -53,7 +53,7 @@ from repro.core.synthesizer import (
     publish_metrics,
     synthesize,
 )
-from repro.errors import ReproError, SpecError
+from repro.errors import ReproError
 from repro.io.spec_json import spec_to_dict
 from repro.obs.trace import (
     Tracer,
@@ -199,8 +199,6 @@ def run_batch(
     journal: Optional[Union[str, Path]] = None,
     trace_dir: Optional[Union[str, Path]] = None,
     on_progress: Optional[Callable] = None,
-    service=None,
-    store=None,
 ) -> BatchResult:
     """Synthesize every spec and collect one CSV row per run.
 
@@ -228,16 +226,6 @@ def run_batch(
     every row emitted so far is journaled and a re-run completes the
     rest.
 
-    ``service`` delegates execution to a started
-    :class:`repro.service.SynthesisService` instead of running here:
-    every spec is submitted (idempotently — a journaled completion from
-    a previous run is reused, not recomputed) and the batch blocks
-    until each job reaches a terminal state. A spec the service refuses
-    as malformed becomes its error row. Workers, retries and circuit
-    breakers then follow the service's configuration; ``workers`` and
-    ``trace_dir`` are ignored, and the service keeps its own journal,
-    so ``journal`` must be None.
-
     Observability: the batch's tracer is ``options.trace`` or else the
     installed one; it is installed for the whole batch, so the worker
     threads record into it, each spec under its own correlation ID.
@@ -249,10 +237,10 @@ def run_batch(
     With a tracer, the batch also maintains ``batch_queue_depth`` /
     ``batch_rows_done`` gauges and emits one ``batch_row`` event per row.
 
-    ``store`` attaches a persistent :class:`repro.store.Store` to every
-    run: repeated sweeps answer already-solved specs from disk (Tier A).
-    Rows are identical with or without a store, cold or warm (only
-    ``runtime_s`` differs).
+    ``options.store`` attaches a persistent :class:`repro.store.Store`
+    to every run: repeated sweeps answer already-solved specs from disk
+    (Tier A). Rows are identical with or without a store, cold or warm
+    (only ``runtime_s`` differs).
 
     ``on_progress(done, total, row)`` is a live callback fired after
     *every* row (error and reused rows included), in spec order.
@@ -261,21 +249,14 @@ def run_batch(
     tracer = options.trace if options.trace is not None else current_tracer()
     if tracer is None and trace_dir is not None:
         tracer = Tracer("batch")
-    options = replace(options, trace=None,
-                      store=options.store if store is None else store)
+    options = replace(options, trace=None)
     spec_list = list(specs)
     total = len(spec_list)
     batch = BatchResult()
-    if service is not None:
-        if journal is not None:
-            raise ReproError("run_batch(service=...) records its jobs in "
-                             "the service's journal; pass journal=None")
-        outcomes = _run_via_service(spec_list, options, service)
-    else:
-        if trace_dir is not None:
-            Path(trace_dir).mkdir(parents=True, exist_ok=True)
-        outcomes = _run_here(spec_list, options, workers, journal,
-                             trace_dir, tracer)
+    if trace_dir is not None:
+        Path(trace_dir).mkdir(parents=True, exist_ok=True)
+    outcomes = _run_here(spec_list, options, workers, journal, trace_dir,
+                         tracer)
 
     with use_tracer(tracer), closing(outcomes):
         try:
@@ -397,26 +378,6 @@ def _write_task_trace(tracer: Tracer, trace_dir: Union[str, Path],
                           name=spec.name, dropped=dropped)
     except Exception:
         pass
-
-
-def _run_via_service(spec_list: List[SwitchSpec], options: SynthesisOptions,
-                     service) -> Iterator[Outcome]:
-    """Delegate execution to a :class:`repro.service.SynthesisService`.
-
-    Submission is idempotent (keyed by spec/config fingerprints), so a
-    batch re-run over a journal-backed service reuses completed jobs
-    instead of recomputing them. Rows are yielded in spec order.
-    """
-    jobs: List[Union[str, Dict[str, object]]] = []
-    for spec in spec_list:
-        try:
-            jobs.append(service.submit(spec, options))
-        except SpecError as exc:
-            jobs.append(error_row(spec, _describe(exc)))
-    for job in jobs:
-        if isinstance(job, str):
-            job = dict(service.wait(job).row or {})
-        yield job, None
 
 
 def load_csv(path: Union[str, Path]) -> List[Dict[str, str]]:

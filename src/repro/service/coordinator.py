@@ -73,7 +73,8 @@ from multiprocessing import connection
 from typing import Any, Dict, List, Optional
 
 from repro.errors import AdmissionError, ServiceError
-from repro.obs.telemetry import _merge_histogram, correlated_trace
+from repro.obs.telemetry import (_merge_histogram, correlated_trace,
+                                 correlation_job)
 from repro.obs.trace import Tracer, current_tracer, use_tracer
 from repro.service.journal import TERMINAL_STATES
 from repro.service.shard import ShardConfig, shard_main
@@ -690,10 +691,17 @@ class ShardCoordinator:
 
         ``job_id`` may be a bare job id or a full correlation ID. Pulls
         a fresh batch first so a job that just finished is visible
-        without waiting out the telemetry interval.
+        without waiting out the telemetry interval. A repair job runs
+        under its original's correlation ID, so a bare id with no
+        records of its own is looked up once more under the ``corr`` of
+        its job line.
         """
         self.pull_telemetry()
         records = correlated_trace(self.tracer, job_id)
+        if records is None and correlation_job(job_id) == job_id:
+            corr = self.job(job_id).get("corr")
+            if corr:
+                records = correlated_trace(self.tracer, corr)
         if records is None:
             raise KeyError(job_id)
         return records

@@ -161,7 +161,6 @@ class SynthesisService:
         self._in_flight = 0
         self._state = "created"
         self._shutdown_requested = threading.Event()
-        self.shutdown_signal: Optional[int] = None
         #: Telemetry namespace: with several services (or stores) in one
         #: process — every shard test, any embedded deployment — each
         #: instance keeps its own ``service_*`` instruments instead of
@@ -263,33 +262,15 @@ class SynthesisService:
             self._submissions += 1
             corr = corr or correlation_id(job_id, self._submissions)
             with correlate(corr):
+                # Tier A at admission: a row here means the persistent
+                # store holds this exact job's proven-optimal result
+                # (re-verified just now). Such a job is never shed and is
+                # journaled straight to done — it never takes a queue
+                # slot or a worker, and a restart replays it as terminal
+                # like any other completion.
                 row = self._store_row(spec, opts)
-                if row is not None:
-                    # Tier A at admission: the persistent store already
-                    # holds this exact job's proven-optimal result
-                    # (re-verified just now). Journal it straight to
-                    # done — it never takes a queue slot or a worker,
-                    # and a restart replays it as terminal like any
-                    # other completion.
-                    record = JobRecord(job_id, spec_to_dict(spec),
-                                       options_to_dict(opts), tenant=tenant,
-                                       priority=priority, corr=corr)
-                    if self._journal is not None:
-                        self._journal.record_job(record)
-                    else:
-                        self.jobs[job_id] = record
-                    self._counter("service_store_dedup")
-                    obs_event("job_submitted", job=job_id, case=spec.name,
-                              store=True,
-                              **({"tenant": tenant} if tenant else {}))
-                    if is_repair_job(record):
-                        self._note_repair_submitted(record, spec)
-                    # No push: the submitter gets this terminal line as
-                    # the reply, and nobody can be waiting on a job id
-                    # that did not exist until now.
-                    self._finish(record, 0, "done", row, None, push=False)
-                    return job_id
-                reason = self.queue.shed_reason(tenant)
+                reason = (self.queue.shed_reason(tenant) if row is None
+                          else None)
                 if reason is not None:
                     self.queue.shed += 1
                     self._counter("service_shed")
@@ -314,14 +295,22 @@ class SynthesisService:
                     self._journal.record_job(record)
                 else:
                     self.jobs[job_id] = record
-                self._specs[job_id] = spec
-                self.queue.push(job_id, priority=priority, tenant=tenant,
-                                force=True)
-                self._counter("service_jobs_submitted")
+                if row is None:
+                    self._specs[job_id] = spec
+                    self.queue.push(job_id, priority=priority,
+                                    tenant=tenant, force=True)
+                self._counter("service_jobs_submitted" if row is None
+                              else "service_store_dedup")
                 obs_event("job_submitted", job=job_id, case=spec.name,
+                          **({} if row is None else {"store": True}),
                           **({"tenant": tenant} if tenant else {}))
                 if is_repair_job(record):
                     self._note_repair_submitted(record, spec)
+                if row is not None:
+                    # No push: the submitter gets this terminal line as
+                    # the reply, and nobody can be waiting on a job id
+                    # that did not exist until now.
+                    self._finish(record, 0, "done", row, None, push=False)
         self._sync_gauges()
         return job_id
 
@@ -354,9 +343,10 @@ class SynthesisService:
             corr=original.corr)
 
     def _note_repair_submitted(self, record: JobRecord, spec: SwitchSpec) -> None:
-        # Fires on every admission path (queued, store-dedup, and
-        # coordinator-forwarded), so repair_* counters and per-fault
-        # fault_detected events always reach this shard's stream.
+        # Fires for every admitted repair (queued or answered from the
+        # store, submitted here or forwarded by a coordinator), so
+        # repair_* counters and per-fault fault_detected events always
+        # reach this shard's stream.
         mask = spec.switch.health
         self._counter("repair_submitted")
         obs_event("repair_submitted", job=record.id, case=spec.name,
@@ -376,21 +366,13 @@ class SynthesisService:
     def wait(self, job_id: str,
              timeout: Optional[float] = None) -> JobRecord:
         """Block until one job reaches a terminal state."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._terminal:
-            while True:
-                record = self.jobs.get(job_id)
-                if record is None:
-                    raise ServiceError(f"unknown job {job_id}")
-                if record.terminal:
-                    return record
-                remaining = None if deadline is None \
-                    else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    raise ServiceError(
-                        f"timed out waiting for job {job_id} "
-                        f"(state {record.state!r})")
-                self._terminal.wait(remaining)
+        end = None if timeout is None else time.monotonic() + timeout
+        record = self.job(job_id)  # transitions update it in place
+        self._wait_until(lambda: record.terminal, end)
+        if not record.terminal:
+            raise ServiceError(f"timed out waiting for job {job_id} "
+                               f"(state {record.state!r})")
+        return record
 
     def outstanding(self) -> int:
         """Jobs not yet terminal (queued, backing off, or in flight)."""
@@ -416,14 +398,13 @@ class SynthesisService:
         return "complete" if self.outstanding() == 0 else "timeout"
 
     # -- shutdown --------------------------------------------------------
-    def request_shutdown(self, signum: Optional[int] = None) -> None:
+    def request_shutdown(self) -> None:
         """Signal-safe: flag the shutdown; the control loop drains.
 
         A signal handler runs on the main thread, possibly while that
         thread holds the service lock; the lock is re-entrant, so the
         notification below cannot deadlock there.
         """
-        self.shutdown_signal = signum
         self._shutdown_requested.set()
         with self._terminal:
             self._terminal.notify_all()
@@ -775,7 +756,7 @@ def install_signal_handlers(
     previous = {}
     for signum in signals:
         previous[signum] = signal.signal(
-            signum, lambda s, frame: service.request_shutdown(s))
+            signum, lambda s, frame: service.request_shutdown())
     return previous
 
 

@@ -16,8 +16,8 @@ Tier B — path catalogs and incumbents — are no longer written or
 read; entries left by older versions age out through ``gc``.)
 
 Activation is explicit: pass a :class:`Store` via
-``SynthesisOptions.store`` / ``run_batch(store=...)`` /
-``SynthesisService(store=...)``, or export
+``SynthesisOptions.store`` (which ``run_batch`` and ``weight_sweep``
+hand to every run) or ``SynthesisService(store=...)``, or export
 ``REPRO_STORE=/path/to/cache`` to make one ambient. No store, no
 behaviour change.
 

@@ -210,9 +210,3 @@ def test_journal_appends_from_many_threads_stay_whole(tmp_path, monkeypatch):
     jobs = replay_journal(path).jobs
     assert [jobs[job_id_for(s, SynthesisOptions(time_limit=30))].row
             for s in specs] == batch.rows
-
-
-def test_journal_and_service_are_exclusive(tmp_path):
-    with pytest.raises(ReproError):
-        run_batch(small_specs(1), journal=tmp_path / "batch.jsonl",
-                  service=object())

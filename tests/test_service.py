@@ -757,25 +757,6 @@ def test_service_health_and_stats_shapes(tmp_path):
     assert service.health()["status"] == "stopped"
 
 
-def test_run_batch_delegates_to_service(tmp_path):
-    from repro.experiments import run_batch
-
-    specs = [small_spec(s) for s in range(3)]
-    with SynthesisService(tmp_path / "j.jsonl", workers=2,
-                          options=OPTS) as service:
-        batch = run_batch(specs, OPTS, service=service)
-        # Idempotent delegation: a re-run reuses journaled completions.
-        attempts = {i: service.job(job_id_for(s, OPTS)).attempts
-                    for i, s in enumerate(specs)}
-        batch2 = run_batch(specs, OPTS, service=service)
-        for i, s in enumerate(specs):
-            assert service.job(job_id_for(s, OPTS)).attempts == attempts[i]
-    assert len(batch.rows) == 3
-    assert [r["case"] for r in batch.rows] == [s.name for s in specs]
-    assert len(batch2.rows) == 3
-    assert validate_journal(tmp_path / "j.jsonl") == {"done": 3}
-
-
 def malformed_spec(seed=0):
     """A spec whose fixed binding was edited after construction (and so
     after validation) to name a pin the switch does not have."""
@@ -795,20 +776,6 @@ def test_submit_refuses_a_malformed_spec_and_the_breaker_stays_closed(
         assert record.state == "done"
         assert service.breakers.snapshot()["auto"]["state"] == CLOSED
     assert validate_journal(tmp_path / "j.jsonl") == {"done": 1}
-
-
-def test_run_batch_turns_a_refused_spec_into_its_error_row(tmp_path):
-    from repro.experiments import run_batch
-
-    specs = [small_spec(0), malformed_spec(1), small_spec(2)]
-    with SynthesisService(tmp_path / "j.jsonl", workers=2,
-                          options=OPTS) as service:
-        batch = run_batch(specs, OPTS, service=service)
-    assert [r["status"] for r in batch.rows] == ["optimal", "error",
-                                                 "optimal"]
-    assert batch.rows[1]["case"] == specs[1].name
-    assert "SpecError" in batch.rows[1]["error"]
-    assert validate_journal(tmp_path / "j.jsonl") == {"done": 2}
 
 
 def _spec_dict(spec):

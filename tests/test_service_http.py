@@ -16,7 +16,7 @@ import urllib.request
 import pytest
 
 from repro.cases import generate_case
-from repro.core import BindingPolicy
+from repro.core import BindingPolicy, SynthesisOptions, synthesize
 from repro.errors import AdmissionError
 from repro.io import spec_to_dict
 from repro.service import (
@@ -25,6 +25,7 @@ from repro.service import (
     ShardCoordinator,
     ShardError,
     fetch_job,
+    fetch_trace,
     replay_journal,
     submit_job,
     validate_journal,
@@ -302,6 +303,42 @@ def test_wait_returns_the_journaled_line_with_a_complete_trace(tmp_path):
                 assert "job_done" in events
                 ids.append(job_id)
             assert {coord.route(i) for i in ids} == {0, 1}
+
+
+def test_repair_job_trace_is_found_by_the_repair_id(tmp_path):
+    """A repair job runs under its original's correlation ID, so its
+    records sit under the original's job id; its own id finds them."""
+    spec = small_spec()
+    used = synthesize(spec, SynthesisOptions(**OPTS)).used_segments
+    a, b = next(k for k in sorted(used) if not spec.switch.is_pin(k[0])
+                and not spec.switch.is_pin(k[1]))
+    with platform(tmp_path, shards=1) as coord:
+        with ServiceHTTPServer(coord) as server:
+            job = coord.submit(spec_to_dict(spec))
+            assert coord.wait(job["id"], timeout=180)["state"] == "done"
+            repair = coord.submit_repair(job["id"], [(a, b, "stuck_closed")])
+            assert coord.wait(repair["id"], timeout=180)["state"] == "done"
+            for records in (coord.job_trace(repair["id"]),
+                            fetch_trace(server.url, repair["id"])["records"]):
+                events = {r["name"] for r in records if r["type"] == "event"}
+                assert {"repair_submitted", "repair_done"} <= events
+            with pytest.raises(KeyError):
+                coord.job_trace("deadbeef-deadbeef")
+
+
+def test_obs_top_shows_one_snapshot_of_the_platform(tmp_path, capsys):
+    from repro.cli import main
+
+    with platform(tmp_path, shards=1) as coord:
+        with ServiceHTTPServer(coord) as server:
+            job = coord.submit(spec_to_dict(small_spec()))
+            assert coord.wait(job["id"], timeout=180)["state"] == "done"
+            code = main(["obs", "top", "--url", server.url,
+                         "--iterations", "1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "done=1" in out
+    assert "1/1 running" in out
 
 
 def test_wait_survives_shard_sigkill_with_one_terminal_line(tmp_path):

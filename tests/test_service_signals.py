@@ -229,7 +229,7 @@ def test_run_batch_killed_mid_run_resumes_to_the_same_csv(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# `repro submit --wait` exit codes (shared contract with `repro serve`)
+# `repro serve` without --http: the named jobs' rows and exit codes
 # ----------------------------------------------------------------------
 def _write_small_spec(tmp_path, seed=0):
     import json
@@ -250,30 +250,34 @@ def _run_cli(args, timeout=180, env_extra=None):
     return proc.returncode, proc.stdout, proc.stderr
 
 
-def test_submit_wait_exits_zero_on_done(tmp_path):
+def test_serve_prints_the_named_job_row_and_exits_zero_on_done(tmp_path):
     spec = _write_small_spec(tmp_path)
     journal = tmp_path / "j.jsonl"
-    rc, out, err = _run_cli(["submit", str(spec), "--journal", str(journal),
-                             "--wait", "--time-limit", "30"])
+    rc, out, err = _run_cli(["serve", str(spec), "--journal", str(journal),
+                             "--time-limit", "30"])
     assert rc == 0, f"{out!r} {err!r}"
-    assert ": done" in out
+    (job,) = replay_journal(journal).jobs.values()
+    assert f"job {job.id}: done (attempts 1)" in out
+    row_line = next(line for line in out.splitlines()
+                    if line.startswith(job.row["case"]))
+    assert job.row["status"] in row_line
     assert validate_journal(journal) == {"done": 1}
 
 
-def test_submit_wait_interrupt_exits_three_with_job_journaled(tmp_path):
-    """Satellite regression: the documented exit-3 ('pending work stays
-    journaled') contract must hold for `repro submit --wait`, not just
-    `repro serve` — a scheduler retrying on 3 re-runs either command."""
+def test_serve_interrupt_exits_three_with_job_journaled(tmp_path):
+    """The documented exit-3 ('pending work stays journaled') contract
+    of a local `repro serve` that a signal interrupts mid-solve — a
+    scheduler retrying on 3 re-runs the same command."""
     journal = tmp_path / "j.jsonl"
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro", "submit", "example_4_2",
-         "--journal", str(journal), "--wait",
+        [sys.executable, "-m", "repro", "serve", "example_4_2",
+         "--journal", str(journal),
          "--time-limit", "120", "--drain-timeout", "3"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
     line = proc.stdout.readline()
-    assert line.startswith("waiting:"), line
+    assert line.startswith("serving:"), line
     time.sleep(1.0)  # land mid-solve (the case runs for ~30s)
     proc.send_signal(signal.SIGINT)
     out, err = proc.communicate(timeout=60)
@@ -285,11 +289,10 @@ def test_submit_wait_interrupt_exits_three_with_job_journaled(tmp_path):
     validate_journal(journal)  # still schema-valid and exactly-once
 
 
-def test_submit_rejects_neither_and_both_transports(tmp_path):
+def test_submit_requires_url(tmp_path):
     spec = _write_small_spec(tmp_path)
-    rc, out, _ = _run_cli(["submit", str(spec)])
-    assert rc == 2 and "--journal or --url" in out
-    rc, out, _ = _run_cli(["submit", str(spec),
-                           "--journal", str(tmp_path / "j.jsonl"),
-                           "--url", "http://127.0.0.1:1"])
-    assert rc == 2 and "--journal or --url" in out
+    rc, _, err = _run_cli(["submit", str(spec)])
+    assert rc == 2 and "--url" in err
+    rc, _, err = _run_cli(["submit", str(spec), "--url", "http://127.0.0.1:1",
+                           "--journal", str(tmp_path / "j.jsonl")])
+    assert rc == 2 and "--journal" in err

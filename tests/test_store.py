@@ -545,9 +545,9 @@ def test_run_batch_warm_rows_match_cold(tmp_path):
 
     specs = [small_spec(s) for s in range(2)]
     store = Store(tmp_path)
-    cold = run_batch(specs, SynthesisOptions(time_limit=60), store=store)
+    cold = run_batch(specs, SynthesisOptions(time_limit=60, store=store))
     warm = run_batch([small_spec(s) for s in range(2)],
-                     SynthesisOptions(time_limit=60), store=store)
+                     SynthesisOptions(time_limit=60, store=store))
     strip = lambda row: {k: v for k, v in row.items() if k != "runtime_s"}
     assert [strip(r) for r in warm.rows] == [strip(r) for r in cold.rows]
     assert store.counters["hits"] >= 2
